@@ -27,6 +27,11 @@
 // paper's single-cycle repair assumption). Multiple in-flight
 // mispredictions behave as optimal preemption (§A.1.2), which is what the
 // ideal study models.
+//
+// Issue is event-driven (sched.go): a slot is timed when its producers
+// issue and its floors lift, never by rescanning the window, and retired
+// or squashed slots are recycled, so a run's working memory grows with
+// the window rather than with the trace.
 package ideal
 
 import (
@@ -129,8 +134,9 @@ type Result struct {
 	RetireCycle []int64
 
 	// FloorsAttached counts false-dependence floors attached to control
-	// independent instructions; FloorsBound counts issue attempts
-	// actually delayed by an unresolved or just-resolved floor.
+	// independent instructions. FloorsBound counts the issued slots whose
+	// issue a floor delayed: the last floor to lift released the slot
+	// later than its fetch and every register and memory producer did.
 	FloorsAttached uint64
 	FloorsBound    uint64
 }
@@ -165,8 +171,14 @@ type mispRec struct {
 	wp       *trace.WrongPath
 	resolved bool
 	resolveC int64 // branch completion cycle (D in Figure 2)
+	// floorWaits lists the slots whose false-dependence floor this
+	// misprediction's resolution lifts.
+	floorWaits int32
 }
 
+// slot is one window occupant. Slots are recycled: gen counts the reuses,
+// so the wheel, ready heap and wait lists can tell a reference to the
+// current occupant from one left behind by an evicted or squashed slot.
 type slot struct {
 	key    key
 	kind   slotKind
@@ -174,17 +186,25 @@ type slot struct {
 	// streamEnd is the owning stream's end at fetch time, so an eviction
 	// can revive a refetch stream with exactly the right coverage.
 	streamEnd int32
+	gen       uint32
 
-	fetchC int64
+	// pending counts the waits not yet timed: producers that have not
+	// issued and false-dependence floors (*-FD models) whose
+	// misprediction has not resolved. readyC is the earliest issue cycle
+	// fetch and the timed producers allow; floorC is the latest
+	// resolution + 1 of the timed floors. At pending 0 the slot issues
+	// at max(readyC, floorC) or, when the width is taken, later.
+	pending int32
+	readyC  int64
+	floorC  int64
+
 	issueC int64
 	doneC  int64
 
-	// floors lists mispredictions whose resolution must precede this
-	// slot's final issue: the false-data-dependence repair of the *-FD
-	// models.
-	floors []*mispRec
 	// misp is set on mispredicted branch slots.
 	misp *mispRec
+	// nextFree links the scratch's free list.
+	nextFree *slot
 }
 
 type stream struct {
@@ -217,10 +237,13 @@ type engine struct {
 	streams []*stream
 	nextSID int
 
-	// doneCycle[i] is entry i's completion cycle (0 = not executed or
-	// squashed; real completion cycles start at 2). Retired entries keep
-	// their completion cycle.
-	doneCycle []int64
+	// ent[i] is trace entry i's run state: completion cycle (0 = not
+	// executed or squashed; real completion cycles start at 2; retired
+	// entries keep theirs), the list of slots waiting for it, and whether
+	// it occupies a window slot — which lets overlapping fetch streams
+	// (created by eviction refetches) skip entries already present
+	// instead of duplicating them.
+	ent []entState
 
 	// mispOf remembers the recovery record of each mispredicted branch
 	// entry, so a refetch after eviction can tell whether the branch has
@@ -228,12 +251,6 @@ type engine struct {
 	// control-dependent region is covered by surviving streams). Dense:
 	// one slot per trace entry, nil for never-mispredicted entries.
 	mispOf []*mispRec
-
-	// liveReal tracks which trace entries currently occupy window slots,
-	// letting overlapping fetch streams (created by eviction refetches)
-	// skip entries that are already present instead of duplicating them.
-	// Dense: one flag per trace entry.
-	liveReal []bool
 
 	// activeMisp lists the unresolved mispredictions with a usable
 	// reconvergent point whose branch slot is in the window — exactly the
@@ -249,14 +266,22 @@ type engine struct {
 	// same timing as deferred-stream activation.
 	squashAt []pendingSquash
 
-	// sc owns the window slot arena (and every buffer above); it returns
-	// to the prep's pool when the run finishes.
+	// sc owns the window slot arena, the wait nodes, the wheel and the
+	// ready heap (and every buffer above); it returns to the prep's pool
+	// when the run finishes.
 	sc *scratch
 
 	retireNext int32
 	cycle      int64
 
 	res Result
+}
+
+// entState is one trace entry's dense run state (see engine.ent).
+type entState struct {
+	done  int64
+	waits int32
+	live  bool
 }
 
 // Run simulates the trace under the configured model. It is Prepare +
@@ -287,9 +312,8 @@ func RunPrepared(p *Prep, cfg Config) (Result, error) {
 		prep:       p,
 		width:      cfg.Width,
 		winSize:    cfg.WindowSize,
-		doneCycle:  sc.doneCycle,
+		ent:        sc.ent,
 		mispOf:     sc.mispOf,
-		liveReal:   sc.liveReal,
 		window:     sc.window,
 		streams:    sc.streams,
 		squashAt:   sc.squashAt,
@@ -354,34 +378,57 @@ func (e *engine) retire() {
 			e.res.RetireCycle[s.key.idx] = e.cycle
 			e.res.IssueCycle[s.key.idx] = s.issueC
 		}
-		e.liveReal[s.key.idx] = false
+		e.ent[s.key.idx].live = false
 		e.retireNext++
 		e.head++
+		e.freeSlot(s)
 	}
 }
 
 // --- issue stage ---
 
+// issue moves the slots whose ready cycle is now from the wheel to the
+// ready heap, then issues the oldest ready slots, up to the width. An
+// issue times the slots waiting on the entry (and, for a mispredicted
+// branch, on its floors); none of them can become ready before the
+// next cycle.
+//
 //cisim:hot
 func (e *engine) issue() {
-	issued := 0
-	for i := e.head; i < len(e.window) && issued < e.width; i++ {
-		s := e.window[i]
-		if s.issueC != never {
-			continue
+	sc := e.sc
+	b := &sc.wheel[e.cycle&int64(len(sc.wheel)-1)]
+	for _, p := range *b {
+		if p.s.gen == p.gen {
+			p.ord = p.s.key.order()
+			sc.ready = append(sc.ready, p)
+			siftUp(sc.ready)
 		}
-		if !e.ready(s) {
-			continue
+	}
+	*b = (*b)[:0]
+	for issued := 0; issued < e.width && len(sc.ready) > 0; {
+		top := sc.ready[0]
+		last := len(sc.ready) - 1
+		sc.ready[0] = sc.ready[last]
+		sc.ready = sc.ready[:last]
+		siftDown(sc.ready)
+		s := top.s
+		if s.gen != top.gen {
+			continue // evicted or squashed while ready
 		}
+		issued++
 		s.issueC = e.cycle
 		s.doneC = e.cycle + int64(e.latency(s))
+		if s.floorC > s.readyC {
+			e.res.FloorsBound++
+		}
 		if s.kind == kindReal {
-			e.doneCycle[s.key.idx] = s.doneC
+			en := &e.ent[s.key.idx]
+			en.done = s.doneC
+			e.wake(&en.waits, s.doneC, false)
 		}
 		if s.misp != nil && !s.misp.resolved {
 			e.resolve(s.misp, s.doneC)
 		}
-		issued++
 	}
 }
 
@@ -392,43 +439,18 @@ func (e *engine) latency(s *slot) int {
 	return int(e.prep.lat[s.key.idx])
 }
 
-// ready reports whether a slot can issue this cycle.
-//
-//cisim:hot
-func (e *engine) ready(s *slot) bool {
-	// Dispatch takes the cycle after fetch; issue the cycle after that.
-	if e.cycle < s.fetchC+2 {
-		return false
-	}
-	if s.kind == kindJunk {
-		return true
-	}
-	// False-dependence floors: every covering misprediction must have
-	// resolved, and repair completes the cycle after resolution.
-	for _, m := range s.floors {
-		if !m.resolved || e.cycle < m.resolveC+1 {
-			e.res.FloorsBound++
-			return false
-		}
-	}
-	en := &e.tr.Entries[s.key.idx]
-	for _, p := range en.DepReg {
-		if !e.producerDone(p) {
-			return false
-		}
-	}
-	if en.DepMem != trace.NoDep && !e.producerDone(en.DepMem) {
-		return false
-	}
-	return true
-}
-
-func (e *engine) producerDone(p int32) bool {
+// waitProducer folds producer p into a fetched slot's readiness: a
+// completion already known bounds its ready cycle, otherwise the slot
+// waits for p to issue.
+func (e *engine) waitProducer(s *slot, p int32) {
 	if p == trace.NoDep {
-		return true
+		return
 	}
-	d := e.doneCycle[p]
-	return d != 0 && d <= e.cycle
+	if d := e.ent[p].done; d != 0 {
+		s.readyC = max(s.readyC, d)
+	} else {
+		e.waitOn(&e.ent[p].waits, s)
+	}
 }
 
 // resolve handles misprediction resolution. The misprediction is detected
@@ -441,6 +463,8 @@ func (e *engine) resolve(m *mispRec, at int64) {
 	m.resolved = true
 	m.resolveC = at
 	e.dropActiveMisp(m)
+	// Repair completes the cycle after resolution (the *-FD floor).
+	e.wake(&m.floorWaits, at+1, true)
 	e.squashAt = append(e.squashAt, pendingSquash{at: at + 1, m: m})
 	for _, st := range e.streams {
 		if st.dead {
@@ -478,17 +502,26 @@ func (e *engine) applySquashes() {
 	e.squashAt = out
 }
 
-// squashJunk removes all junk slots belonging to a misprediction.
+// squashJunk removes all junk slots belonging to a misprediction. They
+// share the branch's index, so they sit together around the branch's own
+// key: usually right after it, but an eviction that returns junk quota
+// can leave a refetched junk slot at sub-key 0 or below.
 func (e *engine) squashJunk(m *mispRec) {
-	out := e.window[:e.head]
-	for _, s := range e.window[e.head:] {
-		if s.kind == kindJunk && s.key.idx == m.branch {
-			e.res.Squashed++
+	i := e.head + sort.Search(len(e.window)-e.head, func(i int) bool {
+		return e.window[e.head+i].key.idx >= m.branch
+	})
+	j, out := i, i
+	for ; j < len(e.window) && e.window[j].key.idx == m.branch; j++ {
+		s := e.window[j]
+		if s.kind == kindJunk {
+			e.freeSlot(s)
 			continue
 		}
-		out = append(out, s)
+		e.window[out] = s
+		out++
 	}
-	e.window = out
+	e.res.Squashed += uint64(j - out)
+	e.window = append(e.window[:out], e.window[j:]...)
 }
 
 // --- fetch stage ---
@@ -503,7 +536,7 @@ func (e *engine) fetch() {
 		// Overlapping streams (left behind by eviction refetches) skip
 		// entries that are already in the window or already retired.
 		if k, ok := e.streamKey(st); ok && k.sub == 0 &&
-			(k.idx < e.retireNext || e.liveReal[k.idx]) {
+			(k.idx < e.retireNext || e.ent[k.idx].live) {
 			st.next++
 			continue
 		}
@@ -517,10 +550,12 @@ func (e *engine) fetch() {
 	}
 }
 
+// pruneStreams drops dead streams, keeping the live ones in order:
+// earliestStream breaks ties by position, and a dead stream never fetches
+// again, so dropping it is unobservable. It also compacts the retired
+// window prefix once it outgrows the window, so the window slice stays
+// O(window) at an amortized copy of one pointer per retirement.
 func (e *engine) pruneStreams() {
-	if len(e.streams) < 32 {
-		return
-	}
 	out := e.streams[:0]
 	for _, st := range e.streams {
 		if !st.dead {
@@ -528,8 +563,7 @@ func (e *engine) pruneStreams() {
 		}
 	}
 	e.streams = out
-	// Also compact the retired window prefix while we are here.
-	if e.head > 4096 {
+	if e.head > e.winSize {
 		e.window = append(e.window[:0], e.window[e.head:]...)
 		e.head = 0
 	}
@@ -587,6 +621,7 @@ func (e *engine) evictFor(st *stream) bool {
 	}
 	e.window = e.window[:len(e.window)-1]
 	owner := e.streamByID(young.stream)
+	e.freeSlot(young) // its fields stay readable until the next fetch reuses it
 	if young.kind == kindJunk {
 		// Return the junk quota to its stream.
 		if owner != nil && owner.junkFor != nil {
@@ -599,9 +634,14 @@ func (e *engine) evictFor(st *stream) bool {
 	}
 	e.res.Evicted++
 	idx := young.key.idx
-	e.doneCycle[idx] = 0
-	e.liveReal[idx] = false
+	// The youngest slot goes first, so every slot waiting on this entry
+	// (or on its unresolved floors) is already gone: waking the lists
+	// only returns their stale nodes to the pool.
+	en := &e.ent[idx]
+	en.done, en.live = 0, false
+	e.wake(&en.waits, 0, false)
 	if young.misp != nil && !young.misp.resolved {
+		e.wake(&young.misp.floorWaits, 0, true)
 		e.dropActiveMisp(young.misp)
 		// An evicted, still-unresolved mispredicted branch takes its
 		// recovery machinery with it; refetching it rebuilds everything.
@@ -653,27 +693,35 @@ func (e *engine) fetchOne(st *stream) {
 		if st.junkLeft > 0 {
 			st.junkLeft--
 		}
-		s := e.allocSlot()
+		s := e.newSlot()
 		s.key = key{st.junkFor.branch, st.junkSub}
 		s.kind = kindJunk
 		s.stream, s.streamEnd = st.id, st.end
-		s.fetchC, s.issueC, s.doneC = e.cycle, never, never
+		// Dispatch takes the cycle after fetch; issue the cycle after that.
+		s.readyC, s.issueC, s.doneC = e.cycle+2, never, never
+		e.schedule(s)
 		e.insert(s)
 		return
 	}
 	idx := st.next
 	st.next++
-	s := e.allocSlot()
+	s := e.newSlot()
 	s.key = key{idx, 0}
 	s.kind = kindReal
 	s.stream, s.streamEnd = st.id, st.end
-	s.fetchC, s.issueC, s.doneC = e.cycle, never, never
+	s.readyC, s.issueC, s.doneC = e.cycle+2, never, never
 	en := &e.tr.Entries[idx]
+	e.waitProducer(s, en.DepReg[0])
+	e.waitProducer(s, en.DepReg[1])
+	e.waitProducer(s, en.DepMem)
 
 	// Attach false-dependence floors from every unresolved misprediction
 	// this entry is control independent of.
 	if e.k.fd {
 		e.attachFloors(s, en)
+	}
+	if s.pending == 0 {
+		e.schedule(s)
 	}
 	// Misprediction handling at fetch: redirect this stream.
 	if e.k.usePred && en.Mispredicted {
@@ -751,12 +799,13 @@ func (e *engine) onMispredict(st *stream, s *slot, idx int32, en *trace.Entry) {
 	}
 }
 
-// attachFloors records which unresolved mispredictions create false data
-// dependences for this control independent entry. activeMisp holds
-// exactly the mispredictions a scan of the live window would surface
-// (unresolved, usable reconvergent point, branch slot present), so the
-// attached floor set — and therefore issue timing and both floor
-// counters — is identical to the window-scan formulation.
+// attachFloors parks the entry on every unresolved misprediction that
+// creates a false data dependence for it. activeMisp holds exactly the
+// mispredictions a scan of the live window would surface (unresolved,
+// usable reconvergent point, branch slot present), so the attached floor
+// set, and therefore issue timing, is identical to the window-scan
+// formulation. Every floor is a pending wait: its misprediction has not
+// resolved yet.
 func (e *engine) attachFloors(s *slot, en *trace.Entry) {
 	idx := s.key.idx
 	for _, m := range e.activeMisp {
@@ -764,7 +813,7 @@ func (e *engine) attachFloors(s *slot, en *trace.Entry) {
 			continue
 		}
 		if e.falseDep(m, en, idx) {
-			s.floors = append(s.floors, m)
+			e.waitOn(&m.floorWaits, s)
 			e.res.FloorsAttached++
 		}
 	}
@@ -819,27 +868,32 @@ func (e *engine) falseDep(m *mispRec, en *trace.Entry, idx int32) bool {
 	return false
 }
 
-// insert places a slot into the window, keeping key order. A duplicate
-// live slot or the refetch of a retired entry indicates a stream
-// bookkeeping bug, so both are hard failures.
+// insert places a slot into the window, keeping key order. Most fetches
+// are the newest key and simply append. A duplicate live slot or the
+// refetch of a retired entry indicates a stream bookkeeping bug, so both
+// are hard failures.
 func (e *engine) insert(s *slot) {
-	if s.kind == kindReal && s.key.idx < e.retireNext {
-		panic(fmt.Sprintf("ideal: refetch of retired entry %d (retireNext %d)", s.key.idx, e.retireNext))
+	if s.kind == kindReal {
+		if s.key.idx < e.retireNext {
+			panic(fmt.Sprintf("ideal: refetch of retired entry %d (retireNext %d)", s.key.idx, e.retireNext))
+		}
+		e.ent[s.key.idx].live = true
+	}
+	if n := len(e.window); n == e.head || e.window[n-1].key.less(s.key) {
+		e.window = append(e.window, s)
+		return
 	}
 	live := e.window[e.head:]
 	i := sort.Search(len(live), func(i int) bool { return !live[i].key.less(s.key) })
-	if i < len(live) && live[i].key == s.key {
+	if live[i].key == s.key {
 		old := live[i]
-		panic(fmt.Sprintf("ideal: duplicate window slot (%d,%d): old stream=%d end=%d fetchC=%d, new stream=%d end=%d cycle=%d\n%s",
-			s.key.idx, s.key.sub, old.stream, old.streamEnd, old.fetchC, s.stream, s.streamEnd, e.cycle, e.stuckReport()))
+		panic(fmt.Sprintf("ideal: duplicate window slot (%d,%d): old stream=%d end=%d, new stream=%d end=%d cycle=%d\n%s",
+			s.key.idx, s.key.sub, old.stream, old.streamEnd, s.stream, s.streamEnd, e.cycle, e.stuckReport()))
 	}
 	i += e.head
 	e.window = append(e.window, nil)
 	copy(e.window[i+1:], e.window[i:])
 	e.window[i] = s
-	if s.kind == kindReal {
-		e.liveReal[s.key.idx] = true
-	}
 }
 
 // stuckReport describes engine state for cycle-bound failures (debugging).
@@ -847,15 +901,11 @@ func (e *engine) stuckReport() string {
 	s := fmt.Sprintf("cycle=%d live=%d head=%d\n", e.cycle, e.liveCount(), e.head)
 	if e.head < len(e.window) {
 		h := e.window[e.head]
-		s += fmt.Sprintf("window head: key=(%d,%d) kind=%d fetchC=%d issueC=%d doneC=%d floors=%d\n",
-			h.key.idx, h.key.sub, h.kind, h.fetchC, h.issueC, h.doneC, len(h.floors))
-		for _, f := range h.floors {
-			s += fmt.Sprintf("  floor: branch=%d resolved=%v resolveC=%d\n", f.branch, f.resolved, f.resolveC)
-		}
+		s += fmt.Sprintf("window head: key=(%d,%d) kind=%d pending=%d readyC=%d floorC=%d issueC=%d doneC=%d\n",
+			h.key.idx, h.key.sub, h.kind, h.pending, h.readyC, h.floorC, h.issueC, h.doneC)
 		if h.kind == kindReal {
 			en := &e.tr.Entries[h.key.idx]
-			s += fmt.Sprintf("  entry: %v deps=%v mem=%d: done=%v %v\n", en.Inst, en.DepReg, en.DepMem,
-				e.producerDone(en.DepReg[0]), e.producerDone(en.DepReg[1]))
+			s += fmt.Sprintf("  entry: %v deps=%v mem=%d\n", en.Inst, en.DepReg, en.DepMem)
 		}
 	}
 	for _, st := range e.streams {

@@ -49,6 +49,11 @@ func TestFDFloorsBind(t *testing.T) {
 	if fd.FloorsBound == 0 {
 		t.Error("floors never delayed an issue")
 	}
+	// A slot counts as floor-bound at most once, and only a slot that
+	// had a floor attached can be.
+	if fd.FloorsBound > fd.FloorsAttached {
+		t.Errorf("%d floor-bound slots exceed %d attached floors", fd.FloorsBound, fd.FloorsAttached)
+	}
 	if fd.IPC > nfd.IPC*1.01 {
 		t.Errorf("FD model (%.3f) should not beat nFD (%.3f)", fd.IPC, nfd.IPC)
 	}

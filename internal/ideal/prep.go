@@ -4,8 +4,9 @@
 // of the trace. Prepare hoists those derivations into dense read-only
 // arrays computed once per (workload, trace-config); RunPrepared then
 // walks them for every (model, window) point. The Prep also pools the
-// engine's per-run scratch (completion cycles, window storage, slot
-// arenas), so a sweep's second run allocates almost nothing.
+// engine's per-run scratch (per-entry run state, window storage, slot and
+// wait-node pools, the wheel), so a sweep's second run allocates almost
+// nothing.
 
 package ideal
 
@@ -37,6 +38,10 @@ type Prep struct {
 	src [][2]uint8
 	// isLoad[i] marks loads, the only consumers of false memory deps.
 	isLoad []bool
+	// wheelSize is the issue wheel's bucket count: a power of two above
+	// the longest lead a ready cycle can have, the longest latency + 1
+	// (a floor lifts the cycle after its branch completes).
+	wheelSize int
 
 	pool sync.Pool // *scratch
 }
@@ -50,6 +55,7 @@ func Prepare(tr *trace.Trace) *Prep {
 		src:    make([][2]uint8, n),
 		isLoad: make([]bool, n),
 	}
+	maxLat := 1
 	for i := range tr.Entries {
 		en := &tr.Entries[i]
 		lat := isa.Latency(en.Inst.Op)
@@ -57,6 +63,7 @@ func Prepare(tr *trace.Trace) *Prep {
 			lat++ // perfect data cache: 1-cycle access after address generation
 			p.isLoad[i] = true
 		}
+		maxLat = max(maxLat, lat)
 		p.lat[i] = uint8(lat)
 		p.src[i] = [2]uint8{noSrc, noSrc}
 		for si, r := range en.Inst.SrcRegs() {
@@ -64,6 +71,10 @@ func Prepare(tr *trace.Trace) *Prep {
 				p.src[i][si] = uint8(r)
 			}
 		}
+	}
+	p.wheelSize = 4
+	for p.wheelSize <= maxLat+1 {
+		p.wheelSize *= 2
 	}
 	return p
 }
@@ -78,28 +89,35 @@ func (p *Prep) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// slotChunk is the slot-arena chunk size; chunks are recycled (re-zeroed)
-// across runs through the scratch pool.
+// slotChunk is the slot-arena chunk size. Slots are recycled through a
+// free list, so a run touches about window/slotChunk chunks.
 const slotChunk = 256
 
-// scratch is one engine's worth of reusable run state. Everything here is
-// fully reinitialized by getScratch, so reuse cannot leak one run's
+// scratch is one engine's worth of reusable run state. getScratch resets
+// everything a run reads before writing, so reuse cannot leak one run's
 // schedule into the next.
 type scratch struct {
-	doneCycle  []int64
+	ent        []entState
 	mispOf     []*mispRec
-	liveReal   []bool
 	window     []*slot
 	streams    []*stream
 	squashAt   []pendingSquash
 	activeMisp []*mispRec
 
-	// Slot arena: chunks[ci][off] is the next slot. Pointers into chunks
-	// are held by the window, so chunks are never reallocated — only
-	// re-zeroed on reuse (dirty counts the chunks the last run touched).
-	chunks  [][]slot
-	ci, off int
-	dirty   int
+	// Slot arena: chunks[ci][off] is the next never-used slot. Pointers
+	// into chunks are held by the window, so chunks are never
+	// reallocated. Slots that leave the window go to freeSlot, which
+	// newSlot drains first.
+	chunks   [][]slot
+	ci, off  int
+	freeSlot *slot
+
+	// Issue scheduling (sched.go): the wait-node pool with its free
+	// list, the timing wheel, and the ready heap.
+	nodes    []waitNode
+	freeNode int32
+	wheel    [][]parked
+	ready    []parked
 
 	// Stream and misprediction-record arenas. Unlike slots, these carry
 	// no zero-value guarantee: every allocation site fully initializes
@@ -119,33 +137,29 @@ func (p *Prep) getScratch() *scratch {
 		sc = &scratch{}
 	}
 	n := len(p.Trace.Entries)
-	if cap(sc.doneCycle) < n {
-		sc.doneCycle = make([]int64, n)
+	if cap(sc.ent) < n {
+		sc.ent = make([]entState, n)
 		sc.mispOf = make([]*mispRec, n)
-		sc.liveReal = make([]bool, n)
 	} else {
-		sc.doneCycle = sc.doneCycle[:n]
+		sc.ent = sc.ent[:n]
 		sc.mispOf = sc.mispOf[:n]
-		sc.liveReal = sc.liveReal[:n]
-		clear(sc.doneCycle)
+		clear(sc.ent)
 		clear(sc.mispOf)
-		clear(sc.liveReal)
 	}
 	sc.window = sc.window[:0]
 	sc.streams = sc.streams[:0]
 	sc.squashAt = sc.squashAt[:0]
 	sc.activeMisp = sc.activeMisp[:0]
-	// Re-zero the slot chunks the last run touched, keeping each slot's
-	// floors capacity: attachFloors appends a few records per covered
-	// slot, and wiping the slices would re-grow one per slot per run.
-	for i := 0; i < sc.dirty && i < len(sc.chunks); i++ {
-		ch := sc.chunks[i]
-		for j := range ch {
-			floors := ch[j].floors[:0]
-			ch[j] = slot{floors: floors}
-		}
+	sc.ci, sc.off, sc.freeSlot = 0, 0, nil
+	// Node 0 is the "no node" sentinel.
+	sc.nodes, sc.freeNode = append(sc.nodes[:0], waitNode{}), 0
+	if len(sc.wheel) != p.wheelSize {
+		sc.wheel = make([][]parked, p.wheelSize)
 	}
-	sc.ci, sc.off = 0, 0
+	for i := range sc.wheel {
+		sc.wheel[i] = sc.wheel[i][:0]
+	}
+	sc.ready = sc.ready[:0]
 	sc.sci, sc.soff = 0, 0
 	sc.mci, sc.moff = 0, 0
 	return sc
@@ -157,14 +171,11 @@ func (p *Prep) putScratch(sc *scratch, e *engine) {
 	sc.streams = e.streams[:0]
 	sc.squashAt = e.squashAt[:0]
 	sc.activeMisp = e.activeMisp[:0]
-	sc.dirty = sc.ci
-	if sc.off > 0 {
-		sc.dirty++
-	}
 	p.pool.Put(sc)
 }
 
-// allocSlot bump-allocates a zeroed window slot from the scratch arena.
+// allocSlot bump-allocates a window slot from the scratch arena; newSlot
+// clears it.
 func (e *engine) allocSlot() *slot {
 	sc := e.sc
 	if sc.ci == len(sc.chunks) {

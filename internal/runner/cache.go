@@ -447,27 +447,32 @@ func (c *Cache) prep(w *workloads.Workload, iters int, p *prog.Program, maxInstr
 // Detailed returns the result of running a workload through the
 // detailed simulator under cfg, addressed by the program's content
 // address plus the canonical configuration key (so configurations that
-// only differ in spelled-out defaults share an entry). Configurations
-// carrying debug hooks are executed directly — uncached, though still
-// over the shared prep artifacts. The bool reports a cache hit.
+// only differ in spelled-out defaults share an entry). The program and
+// the shared prep are looked up only when the result has to be computed,
+// so a hit touches nothing but the result. Configurations carrying debug
+// hooks are executed directly — uncached, though still over the shared
+// prep artifacts. The bool reports a cache hit.
 func (c *Cache) Detailed(w *workloads.Workload, iters int, cfg ooo.Config) (*ooo.Result, bool, error) {
-	p, _, err := c.Program(w, iters)
-	if err != nil {
-		return nil, false, err
-	}
-	pre, err := c.prep(w, iters, p, cfg.MaxInstrs)
-	if err != nil {
-		return nil, false, err
+	run := func() (*ooo.Result, error) {
+		p, _, err := c.Program(w, iters)
+		if err != nil {
+			return nil, err
+		}
+		pre, err := c.prep(w, iters, p, cfg.MaxInstrs)
+		if err != nil {
+			return nil, err
+		}
+		return ooo.RunPrepared(p, cfg, pre)
 	}
 	ck, memoizable := cfg.Key()
 	if !memoizable {
-		r, err := ooo.RunPrepared(p, cfg, pre)
+		r, err := run()
 		return r, false, err
 	}
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d %s", w.Name, iters, cfg.Machine)
 	v, hit, err := c.get(KindResult, key, addr(KindResult, src, ck), func() (interface{}, error) {
-		return ooo.RunPrepared(p, cfg, pre)
+		return run()
 	})
 	if err != nil {
 		return nil, hit, err

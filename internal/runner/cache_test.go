@@ -93,12 +93,17 @@ func TestDetailedCanonicalKey(t *testing.T) {
 	}
 	spelled := base
 	spelled.SegmentSize = 1 // the default, spelled out
+	before := c.Stats()
 	r2, hit, err := c.Detailed(w, 100, spelled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !hit || r2 != r1 {
 		t.Error("canonically identical config re-simulated")
+	}
+	// A result hit touches only the result: no program or prep lookup.
+	if d := c.Stats().Sub(before); d.ProgramHits+d.ProgramMisses+d.PrepHits+d.PrepMisses != 0 {
+		t.Errorf("result hit looked up its program or prep: %+v", d)
 	}
 	diff := base
 	diff.SegmentSize = 4
@@ -109,9 +114,9 @@ func TestDetailedCanonicalKey(t *testing.T) {
 	if s.ResultMisses != 2 || s.ResultHits != 1 {
 		t.Errorf("result stats = %d hits / %d misses, want 1/2", s.ResultHits, s.ResultMisses)
 	}
-	// One prep serves all three simulations.
-	if s.PrepMisses != 1 || s.PrepHits != 2 {
-		t.Errorf("prep stats = %d hits / %d misses, want 2/1", s.PrepHits, s.PrepMisses)
+	// One prep serves both simulations; the hit in between never asks.
+	if s.PrepMisses != 1 || s.PrepHits != 1 {
+		t.Errorf("prep stats = %d hits / %d misses, want 1/1", s.PrepHits, s.PrepMisses)
 	}
 }
 
