@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint checkprog race faults schema serve-smoke cache-smoke metrics-smoke check bench bench-baseline benchdiff run-all profile clean
+.PHONY: all build test vet lint checkprog race faults schema perfbench-check serve-smoke cache-smoke metrics-smoke check bench bench-baseline benchdiff run-all profile clean
 
 # The headline benchmarks gated by BENCH_10.json (see bench-baseline and
 # benchdiff below). BenchmarkTraceGeneration's regex also matches the
@@ -27,9 +27,9 @@ vet:
 # coverage (keycover), deterministic map iteration (detrange), simulator
 # purity (simpure), stack-preserving recover sites (recoverstack),
 # hot-loop allocation hygiene (hotalloc), and the concurrency-invariant
-# passes — mutex-guarded field discipline (lockguard), global sink
-# rebinding (sinkdiscipline), goroutine termination paths (goroleak),
-# and atomic/plain access mixing (atomicmix).
+# passes — mutex-guarded field discipline (lockguard), goroutine
+# termination paths (goroleak), and atomic/plain access mixing
+# (atomicmix).
 lint:
 	$(GO) run ./cmd/cisimlint
 
@@ -42,8 +42,9 @@ checkprog:
 # single-threaded model packages cheap (they skip their long sweeps)
 # while the concurrency-heavy packages — the worker pool, the artifact
 # cache's singleflight path, the serve daemon's dispatcher/streaming
-# machinery, and the api engine's sink window — run their full suites:
-# none of their tests consult testing.Short.
+# machinery, and the api engine's concurrent sweeps with disjoint
+# per-sweep scopes — run their full suites: none of their tests consult
+# testing.Short.
 race:
 	$(GO) test -race -short ./...
 
@@ -64,6 +65,14 @@ schema:
 	$(GO) test -run 'TestEventSchemaMatchesStruct|TestEventStreamMatchesSchema' ./cmd/cisim/
 	$(GO) test -run 'TestSpanSchemaMatchesStruct|TestSpanStreamMatchesSchema' ./cmd/cisim/
 	$(GO) test -run 'TestAPISchema|TestSweepRequestRoundTrip' ./internal/api/
+
+# perfbench-check vets and self-tests the benchmark module. perfbench/ is
+# its own Go module, so the root build, vet and test never compile it; a
+# changed signature it calls would otherwise pass every other gate. Vet,
+# not build: `go build ./...` in a one-main-package module writes a
+# binary into the tree.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # serve-smoke drives the `cisim serve` daemon across a real process
 # boundary: start it, submit a quick sweep over HTTP with the example
@@ -93,9 +102,10 @@ metrics-smoke:
 
 # check is the CI gate: build, vet, the custom analyzers, the workload
 # verifier, full tests, the race pass, the fault matrix, the schema
-# golden tests, and the process-boundary smoke tests (serve daemon,
-# persistent store, observability surface).
-check: build vet lint checkprog test race faults schema serve-smoke cache-smoke metrics-smoke
+# golden tests, the benchmark module's vet and self-test, and the
+# process-boundary smoke tests (serve daemon, persistent store,
+# observability surface).
+check: build vet lint checkprog test race faults schema perfbench-check serve-smoke cache-smoke metrics-smoke
 
 bench:
 	$(GO) test -bench='BenchmarkRunAllQuick|BenchmarkWindowCacheIterate|BenchmarkTraceGenerationBatched' -benchtime=1x -run=^$$ $(BENCHPKGS)

@@ -132,7 +132,7 @@ type analysis struct {
 	workers          map[int]*workerStat
 	kinds            map[string]kindStat
 	store            map[string]*storeStat // by event type: store_hit, store_put, ...
-	metricsEvents    []string // "exp/workload" per metrics event
+	metricsEvents    []string              // "exp/workload" per metrics event
 	retries, stalls  int
 	skips, corrupt   int
 	aborts           int
@@ -346,15 +346,16 @@ func (a *analysis) render(top int) string {
 	}
 
 	if len(a.jobs) > 0 && top > 0 {
-		// The slowest job bounds the run's wall clock at high -jobs: it is
-		// the critical path to attack first (cache it, shrink it, split it).
+		// The slowest jobs are the first candidates to cache, shrink or
+		// split. They bound the wall clock only when every job has its
+		// own worker; `cisim spans` computes the actual critical path.
 		sorted := make([]jobStat, len(a.jobs))
 		copy(sorted, a.jobs)
 		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Ms > sorted[j].Ms })
 		if top > len(sorted) {
 			top = len(sorted)
 		}
-		t := stats.NewTable(fmt.Sprintf("slowest %d job(s) (critical path first)", top),
+		t := stats.NewTable(fmt.Sprintf("slowest %d job(s)", top),
 			"job", "ms", "instrs", "attempts", "worker")
 		for _, js := range sorted[:top] {
 			t.AddRow(js.Exp+"/"+js.Key, js.Ms, int(js.Instrs), js.Attempts, fmt.Sprintf("w%d", js.Worker))

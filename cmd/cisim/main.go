@@ -267,9 +267,8 @@ func cmdRun(args []string) error {
 			return err
 		}
 		defer f.Close()
-		// The engine binds the process-global cache sink itself for
-		// exactly the sweep's duration (and the sinkdiscipline analyzer
-		// keeps this frontend from re-binding it).
+		// The engine carries the sink in the sweep's own scope, down to
+		// every job and cache lookup.
 		sink = runner.NewJSONLSink(f)
 	}
 

@@ -65,12 +65,12 @@ func TestCmdRunIdentityMatrix(t *testing.T) {
 	runner.Artifacts.Reset()
 	ref := sweep("-jobs", "1", "all")
 
-	before := runner.Artifacts.Stats()
-	if got := sweep("-jobs", "1", "all"); got != ref {
+	events := t.TempDir() + "/warm.jsonl"
+	if got := sweep("-jobs", "1", "-events", events, "all"); got != ref {
 		t.Errorf("warm -jobs 1 differs from cold reference (len %d vs %d)", len(got), len(ref))
 	}
-	if d := runner.Artifacts.Stats().Sub(before); d.PrepHits == 0 {
-		t.Errorf("warm sweep recorded no prep hits; RunPrepared reuse not exercised: %+v", d)
+	if k := cacheLookups(t, events); k[runner.KindPrep].Hits == 0 {
+		t.Errorf("warm sweep recorded no prep hits; RunPrepared reuse not exercised: %+v", k)
 	}
 	if got := sweep("-jobs", "8", "all"); got != ref {
 		t.Errorf("warm -jobs 8 differs from cold reference (len %d vs %d)", len(got), len(ref))
@@ -178,15 +178,33 @@ func TestCmdRunCacheSharing(t *testing.T) {
 	if _, err := capture(t, func() error { return cmdRun([]string{"-quick", "fig12"}) }); err != nil {
 		t.Fatal(err)
 	}
-	before := runner.Artifacts.Stats()
-	if _, err := capture(t, func() error { return cmdRun([]string{"-quick", "fig12"}) }); err != nil {
+	events := t.TempDir() + "/second.jsonl"
+	if _, err := capture(t, func() error { return cmdRun([]string{"-quick", "-events", events, "fig12"}) }); err != nil {
 		t.Fatal(err)
 	}
-	d := runner.Artifacts.Stats().Sub(before)
-	if d.Misses() != 0 {
-		t.Errorf("second identical run missed the cache %d times: %+v", d.Misses(), d)
+	k := cacheLookups(t, events)
+	for kind, ks := range k {
+		if ks.Misses != 0 {
+			t.Errorf("second identical run missed the %s cache %d times", kind, ks.Misses)
+		}
 	}
-	if d.ResultHits == 0 {
-		t.Errorf("second identical run recorded no result hits: %+v", d)
+	if k[runner.KindResult].Hits == 0 {
+		t.Errorf("second identical run recorded no result hits: %+v", k)
 	}
+}
+
+// cacheLookups reads an -events file and returns its cache lookups by
+// artifact kind.
+func cacheLookups(t *testing.T, path string) map[string]kindStat {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	a, err := analyzeEvents(f, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.kinds
 }

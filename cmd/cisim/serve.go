@@ -76,7 +76,7 @@ func cmdServe(args []string) error {
 	}
 	srv := serve.New(serve.Config{Queue: *queue, Jobs: *jobs, JournalDir: *journalDir,
 		SpansDir: *spansDir, Store: runner.Artifacts.Store()})
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	fmt.Fprintf(os.Stderr, "cisim: serving on http://%s (api v%d; queue %d; SIGTERM drains)\n",
 		bound, api.Version, depth)
 
@@ -114,6 +114,25 @@ func cmdServe(args []string) error {
 			h.Dir, h.Hits, h.Misses, h.Puts, h.Heals, h.Evictions, h.BytesRead, h.BytesWritten)
 	}
 	return nil
+}
+
+// The daemon's connection timeouts. A client that stalls before
+// finishing its request is cut off instead of pinning a connection and a
+// goroutine. There is deliberately no WriteTimeout: it would cancel a
+// streaming handler's context at the deadline, ending a long sweep's
+// /events stream mid-sweep. The read deadlines end once the request is
+// read, so they never touch a response.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the daemon's handler in an http.Server with the
+// connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 }
 
 // cmdVersion prints what /version serves: module, build version,

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -223,5 +224,94 @@ func TestCmdEventsURL(t *testing.T) {
 		return cmdEvents([]string{ts.URL + "/no/such/stream"})
 	}); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("missing URL source: err = %v, want a 404 mention", err)
+	}
+}
+
+// timeoutServer serves a fresh daemon through newHTTPServer, with every
+// connection timeout shortened to d.
+func timeoutServer(t *testing.T, d time.Duration) *httptest.Server {
+	t.Helper()
+	srv := serve.New(serve.Config{})
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = newHTTPServer(srv)
+	ts.Config.ReadHeaderTimeout, ts.Config.ReadTimeout, ts.Config.IdleTimeout = d, d, d
+	ts.Start()
+	t.Cleanup(func() {
+		ctx, cancel := contextWithTimeout(t)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+		ts.Close()
+	})
+	return ts
+}
+
+// TestServeCutsHalfHeaderClient: a client that sends half a request
+// header and then stalls is disconnected at the header timeout instead
+// of holding its connection indefinitely.
+func TestServeCutsHalfHeaderClient(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	ts := timeoutServer(t, timeout)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: cisim\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// A disconnect reads as EOF; our own deadline firing instead means
+	// the server kept the stalled connection open.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got, err := io.ReadAll(conn)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("half-header connection not closed by the server after %v: %v", elapsed, err)
+	}
+	if elapsed < timeout/2 || elapsed > timeout+5*time.Second {
+		t.Errorf("half-header connection closed after %v, want near the %v timeout", elapsed, timeout)
+	}
+	if len(got) != 0 {
+		t.Errorf("server answered a half-sent request: %q", got)
+	}
+}
+
+// TestServeTimeoutsSpareEventStream: the connection timeouts end at the
+// request, never the response — an /events stream that outlives them
+// still runs to the sweep's run_end.
+func TestServeTimeoutsSpareEventStream(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	ts := timeoutServer(t, timeout)
+	runner.Artifacts.Reset() // a cold sweep outlasts the timeouts
+
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
+		strings.NewReader(`{"v":1,"experiments":["fig5"],"quick":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info api.JobInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %v", resp.StatusCode, err)
+	}
+	start := time.Now()
+	eresp, err := http.Get(ts.URL + "/v1/sweeps/" + info.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(eresp.Body)
+	eresp.Body.Close()
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("event stream broke after %v: %v", elapsed, err)
+	}
+	if elapsed <= timeout {
+		t.Fatalf("stream finished in %v, inside the %v timeout; the check needs a longer sweep", elapsed, timeout)
+	}
+	if !strings.Contains(string(body), `"ev":"run_end"`) {
+		t.Errorf("stream ended after %v without run_end (%d bytes)", elapsed, len(body))
 	}
 }

@@ -25,11 +25,9 @@ import (
 // replayed from a prior journal, and a hook for journal-write failures.
 type RunOptions struct {
 	// Sink, when non-nil, receives the full run-event stream
-	// (run_start, job_*, cache, metrics, run_end). The artifact cache is
-	// pointed at it for the duration of the sweep; sweeps sharing the
-	// process must therefore execute one at a time, which both frontends
-	// guarantee (the CLI by construction, the daemon by its serial
-	// dispatcher).
+	// (run_start, job_*, cache, store_*, metrics, run_end). It rides the
+	// sweep's own runner.Scope, so concurrent sweeps in one process keep
+	// disjoint streams.
 	Sink runner.Sink
 	// Journal, when non-nil, records each completed job fsync'd, so an
 	// interrupted sweep resumes instead of recomputing.
@@ -86,6 +84,11 @@ func (o *Output) JSONResults() []exp.JSONResult {
 // and Output.Aborted is set. The returned error covers request
 // validation only; execution failures ride in the outcomes so one broken
 // experiment cannot hide the others.
+//
+// The sweep's runner.Scope and its sweep span ride ctx down to every
+// job and cache lookup, so its events, spans and Summary.Cache cover
+// exactly its own work; sweeps may run concurrently in one process. The
+// sweep span is a child of the span ctx carries, if any.
 func Run(ctx context.Context, req *SweepRequest, opts RunOptions) (*Output, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -131,7 +134,7 @@ func Run(ctx context.Context, req *SweepRequest, opts RunOptions) (*Output, erro
 			e, w := e, w
 			jobList = append(jobList, runner.Job{Exp: e.ID, Key: w.Name,
 				Run: func(ctx context.Context) (interface{}, uint64, error) {
-					p, err := e.RunWorkload(w, opt)
+					p, err := e.RunWorkloadContext(ctx, w, opt)
 					var instrs uint64
 					if p != nil {
 						instrs = p.Instrs
@@ -153,32 +156,20 @@ func Run(ctx context.Context, req *SweepRequest, opts RunOptions) (*Output, erro
 		}
 	}
 
-	if opts.Sink != nil {
-		runner.Artifacts.SetSink(opts.Sink)
-		defer runner.Artifacts.SetSink(nil)
-	}
-	pool := &runner.Pool{Workers: req.Jobs, Events: opts.Sink, Timeout: req.Timeout(), Retries: req.Retries}
+	scope := runner.NewScope(opts.Sink)
+	ctx = runner.WithScope(ctx, scope)
+	pool := &runner.Pool{Workers: req.Jobs, Timeout: req.Timeout(), Retries: req.Retries}
 	nw := pool.NumWorkers(len(jobList))
-	statsBefore := runner.Artifacts.Stats()
-	if opts.Sink != nil {
-		opts.Sink.Emit(runner.Event{Ev: "run_start", Jobs: len(jobList), Workers: nw, Skipped: len(resumedSkips)})
-		for _, s := range resumedSkips {
-			opts.Sink.Emit(runner.Event{Ev: "job_skip", Exp: s.exp, Key: s.key})
-		}
+	scope.Emit(runner.Event{Ev: "run_start", Jobs: len(jobList), Workers: nw, Skipped: len(resumedSkips)})
+	for _, s := range resumedSkips {
+		scope.Emit(runner.Event{Ev: "job_skip", Exp: s.exp, Key: s.key})
 	}
 	// The sweep span brackets exactly the pool interval the footer's
 	// wall-clock row reports, so `cisim spans` critical-path totals are
-	// comparable to the run summary. It is also the root fallback for
-	// fresh pool-worker goroutines (job spans) for that same window.
-	sweepSp := telemetry.StartSpan("sweep")
-	unroot := func() {}
-	unbind := func() {}
-	if sweepSp != nil {
-		unroot = telemetry.Current().SetRoot(sweepSp)
-		unbind = sweepSp.Bind()
-	}
+	// comparable to the run summary. Its context parents the job spans.
+	sweepSp, sweepCtx := telemetry.StartSpan(ctx, "sweep")
 	start := time.Now()
-	results := pool.RunContext(ctx, jobList)
+	results := pool.RunContext(sweepCtx, jobList)
 	wall := time.Since(start)
 	if sweepSp != nil && ctx.Err() != nil {
 		sweepSp.Err = ctx.Err().Error()
@@ -223,7 +214,7 @@ func Run(ctx context.Context, req *SweepRequest, opts RunOptions) (*Output, erro
 			// Merges run after the pool interval; their spans parent to
 			// the (ended) sweep span, which is fine — parentage is
 			// logical, not lifetime-nested.
-			mergeSp := telemetry.StartSpan("merge")
+			mergeSp, _ := telemetry.StartSpan(sweepCtx, "merge")
 			if mergeSp != nil {
 				mergeSp.Exp = e.ID
 			}
@@ -246,16 +237,15 @@ func Run(ctx context.Context, req *SweepRequest, opts RunOptions) (*Output, erro
 				continue
 			}
 			for _, wm := range outcomes[i].Result.Metrics {
-				opts.Sink.Emit(runner.Event{Ev: "metrics", Exp: e.ID, Key: wm.Workload, Metrics: wm.Snapshot})
+				scope.Emit(runner.Event{Ev: "metrics", Exp: e.ID, Key: wm.Workload, Metrics: wm.Snapshot})
 			}
 		}
 	}
 
-	sum := runner.Summarize(results, nw, wall, runner.Artifacts.Stats().Sub(statsBefore))
+	sum := runner.Summarize(results, nw, wall, scope.Stats())
 	if opts.Sink != nil {
-		opts.Sink.Emit(sum.RunEndEvent())
+		// Guarded: the run_end runtime snapshot stops the world.
+		scope.Emit(sum.RunEndEvent())
 	}
-	unbind()
-	unroot()
 	return &Output{Outcomes: outcomes, Summary: sum, Aborted: aborted}, nil
 }

@@ -6,6 +6,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -168,9 +169,10 @@ type Partial struct {
 
 // wctx is the per-workload execution context handed to an experiment's
 // workload function. Its accessors route every program, trace, and
-// detailed-simulation request through the shared artifact cache and
-// accumulate the workload's Partial.
+// detailed-simulation request through the shared artifact cache under
+// the job's context, and accumulate the workload's Partial.
 type wctx struct {
+	ctx  context.Context
 	w    *workloads.Workload
 	o    Options
 	part *Partial
@@ -189,13 +191,15 @@ func (c *wctx) plot(p Plot) { c.part.Plots = append(c.part.Plots, p) }
 
 // program returns the workload's assembled program at the current scale.
 func (c *wctx) program() (*prog.Program, error) {
-	return programFor(c.w, c.o)
+	p, _, err := runner.Artifacts.Program(c.ctx, c.w, c.o.iters(c.w))
+	return p, err
 }
 
 // trace returns the workload's annotated trace at the current scale,
 // counting its generation cost once per cache fill.
 func (c *wctx) trace() (*trace.Trace, error) {
-	tr, hit, err := traceFor(c.w, c.o)
+	tr, hit, err := runner.Artifacts.Trace(c.ctx, c.w, c.o.iters(c.w),
+		trace.Options{MaxInstrs: c.o.maxTraceInstrs()})
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +216,7 @@ func (c *wctx) trace() (*trace.Trace, error) {
 // the artifact cache.
 func (c *wctx) detailed(cfg ooo.Config) (*ooo.Result, error) {
 	cfg.CollectMetrics = c.o.Metrics
-	r, hit, err := runner.Artifacts.Detailed(c.w, c.o.iters(c.w), cfg)
+	r, hit, err := runner.Artifacts.DetailedContext(c.ctx, c.w, c.o.iters(c.w), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +238,7 @@ func (c *wctx) detailed(cfg ooo.Config) (*ooo.Result, error) {
 // workload/scale, reused across every model and window size). Trace
 // generation is charged once per cache fill, exactly as c.trace does.
 func (c *wctx) ideal(cfg ideal.Config) (ideal.Result, error) {
-	pre, traceHit, err := runner.Artifacts.IdealPrep(c.w, c.o.iters(c.w),
+	pre, traceHit, err := runner.Artifacts.IdealPrep(c.ctx, c.w, c.o.iters(c.w),
 		trace.Options{MaxInstrs: c.o.maxTraceInstrs()})
 	if err != nil {
 		return ideal.Result{}, err
@@ -249,10 +253,19 @@ func (c *wctx) ideal(cfg ideal.Config) (ideal.Result, error) {
 	return r, err
 }
 
-// RunWorkload computes one workload's partial result — the unit of work
-// the parallel runner schedules.
+// RunWorkload is RunWorkloadContext under context.Background: no scope
+// records its cache lookups and no span parents them. It serves callers
+// outside any sweep, like Run and the perfbench module, which builds
+// separately against this signature and computes partials through it.
 func (e *Experiment) RunWorkload(w *workloads.Workload, o Options) (*Partial, error) {
-	c := &wctx{w: w, o: o, part: &Partial{}}
+	return e.RunWorkloadContext(context.Background(), w, o)
+}
+
+// RunWorkloadContext computes one workload's partial result — the unit
+// of work the parallel runner schedules — with its cache lookups made
+// under ctx, the job's context.
+func (e *Experiment) RunWorkloadContext(ctx context.Context, w *workloads.Workload, o Options) (*Partial, error) {
+	c := &wctx{ctx: ctx, w: w, o: o, part: &Partial{}}
 	if err := e.workload(c); err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", e.ID, w.Name, err)
 	}
@@ -374,22 +387,6 @@ func IDs() []string {
 		out = append(out, e.ID)
 	}
 	return out
-}
-
-// traceFor returns the annotated trace for a workload at the chosen
-// scale, memoized in the shared artifact cache: a second call with the
-// same (workload, iters, trace options) key returns the cached trace
-// without regeneration. The bool reports a cache hit.
-func traceFor(w *workloads.Workload, o Options) (*trace.Trace, bool, error) {
-	return runner.Artifacts.Trace(w, o.iters(w),
-		trace.Options{MaxInstrs: o.maxTraceInstrs()})
-}
-
-// programFor assembles a workload at the chosen scale, memoized in the
-// shared artifact cache.
-func programFor(w *workloads.Workload, o Options) (*prog.Program, error) {
-	p, _, err := runner.Artifacts.Program(w, o.iters(w))
-	return p, err
 }
 
 func fmtF(v float64) string { return fmt.Sprintf("%.2f", v) }

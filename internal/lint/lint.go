@@ -27,11 +27,8 @@
 //	               not creep back (internal/ooo, internal/ideal, ...)
 //	lockguard      struct fields annotated `// guarded by <mu>` may only
 //	               be accessed in scopes that hold that mutex (serve's
-//	               Server/job, the artifact cache, the journal, the
-//	               faults registry)
-//	sinkdiscipline process-global sink mutators (runner.Cache.SetSink)
-//	               may only be called by the serial sweep engine
-//	               (internal/api, internal/serve)
+//	               Server/job, the artifact cache, the sweep scope, the
+//	               journal, the faults registry)
 //	goroleak       go statements in model/service packages need a
 //	               visible termination path, so goroutines cannot
 //	               outlive a serve drain
@@ -109,7 +106,7 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		KeyCover, DetRange, SimPure, RecoverStack, HotAlloc,
-		LockGuard, SinkDiscipline, GoroLeak, AtomicMix,
+		LockGuard, GoroLeak, AtomicMix,
 	}
 }
 

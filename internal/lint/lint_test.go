@@ -34,10 +34,6 @@ func TestLockGuard(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "src", "lockguard"), lint.LockGuard)
 }
 
-func TestSinkDiscipline(t *testing.T) {
-	linttest.Run(t, filepath.Join("testdata", "src", "sinkdiscipline"), lint.SinkDiscipline)
-}
-
 func TestGoroLeak(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "src", "goroleak"), lint.GoroLeak)
 }
@@ -58,33 +54,6 @@ func TestGoroLeakMatch(t *testing.T) {
 	} {
 		if got := lint.GoroLeak.Match(path); got != want {
 			t.Errorf("GoroLeak.Match(%q) = %v, want %v", path, got, want)
-		}
-	}
-}
-
-// TestSinkDisciplineAllowlist pins the call-site policy: the serial
-// sweep engine and the daemon may rebind the process-global sink,
-// nothing else. The check rides on the analyzer itself (not Match, which
-// is nil so the driver visits every package): a package on the allowlist
-// yields no diagnostics even for a direct SetSink call.
-func TestSinkDisciplineAllowlist(t *testing.T) {
-	// The testdata package holds exactly two violating calls; reloading
-	// it under allowlisted import paths must silence both.
-	dir := filepath.Join("testdata", "src", "sinkdiscipline")
-	for path, wantDiags := range map[string]int{
-		"cisim/internal/api":   0,
-		"cisim/internal/serve": 0,
-		"cisim/cmd/cisim":      2,
-		"cisim/internal/exp":   2,
-	} {
-		pkg, err := lint.LoadDir(dir, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var diags []lint.Diagnostic
-		lint.RunPackage(pkg, lint.SinkDiscipline, &diags)
-		if len(diags) != wantDiags {
-			t.Errorf("as %q: got %d diagnostics, want %d (%v)", path, len(diags), wantDiags, diags)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -63,6 +64,11 @@ func stageSpanName(kind string) string {
 // guarded by singleflight: concurrent requests for the same address
 // block on one computation instead of duplicating it.
 //
+// Every lookup takes the caller's context: the sweep Scope it carries
+// counts the lookup and receives its cache and store events, and the
+// span it carries parents the lookup's stage and store spans. The
+// context never enters a content address.
+//
 // The cache defends its own integrity (DESIGN.md §8): artifacts that
 // implement Fingerprinter are checksummed at store time and re-verified
 // on every hit, so an aliasing bug that mutates a shared artifact — the
@@ -74,19 +80,10 @@ func stageSpanName(kind string) string {
 // memoized, so a transient failure can be retried.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[string]*entry     // guarded by mu
-	stats   map[string]*kindStats // guarded by mu; by kind
-	sink    Sink                  // guarded by mu
+	entries map[string]*entry // guarded by mu
 	// disk is the optional persistent backend (SetStore); result-kind
 	// misses read through it and successful computes write through.
-	disk  *storage.Store // guarded by mu
-	store storeStats     // guarded by mu
-}
-
-// storeStats counts persistent-backend traffic from this process's
-// point of view (the store keeps its own richer session counters).
-type storeStats struct {
-	hits, puts, evictions, quarantines uint64 // guarded by Cache.mu
+	disk *storage.Store // guarded by mu
 }
 
 // entry's value fields are synchronized by the ready channel, not the
@@ -100,12 +97,6 @@ type entry struct {
 	// when the value implements Fingerprinter (summed reports whether).
 	sum    uint64
 	summed bool
-}
-
-// kindStats counters are mutated through pointers handed out under the
-// cache lock; every increment site keeps holding it.
-type kindStats struct {
-	hits, misses, healed uint64 // guarded by Cache.mu
 }
 
 // Fingerprinter lets an artifact expose a cheap integrity checksum. The
@@ -123,7 +114,7 @@ func fingerprint(v interface{}) (uint64, bool) {
 	return 0, false
 }
 
-// CacheStats is a point-in-time snapshot of cache effectiveness.
+// CacheStats counts one Scope's cache traffic.
 type CacheStats struct {
 	ProgramHits, ProgramMisses uint64
 	TraceHits, TraceMisses     uint64
@@ -152,18 +143,17 @@ func (s CacheStats) Misses() uint64 {
 // HitRate returns the overall hit fraction in [0,1], 0 when unused.
 func (s CacheStats) HitRate() float64 { return rate(s.Hits(), s.Misses()) }
 
-// Sub returns the counter deltas since an earlier snapshot, so a caller
-// sharing a long-lived cache can report per-run statistics.
-func (s CacheStats) Sub(prev CacheStats) CacheStats {
-	return CacheStats{
-		ProgramHits: s.ProgramHits - prev.ProgramHits, ProgramMisses: s.ProgramMisses - prev.ProgramMisses,
-		TraceHits: s.TraceHits - prev.TraceHits, TraceMisses: s.TraceMisses - prev.TraceMisses,
-		PrepHits: s.PrepHits - prev.PrepHits, PrepMisses: s.PrepMisses - prev.PrepMisses,
-		ResultHits: s.ResultHits - prev.ResultHits, ResultMisses: s.ResultMisses - prev.ResultMisses,
-		Healed:    s.Healed - prev.Healed,
-		StoreHits: s.StoreHits - prev.StoreHits, StorePuts: s.StorePuts - prev.StorePuts,
-		StoreEvictions: s.StoreEvictions - prev.StoreEvictions, StoreHealed: s.StoreHealed - prev.StoreHealed,
+// counters returns an artifact kind's hit and miss counters.
+func (s *CacheStats) counters(kind string) (hits, misses *uint64) {
+	switch kind {
+	case KindProgram:
+		return &s.ProgramHits, &s.ProgramMisses
+	case KindTrace:
+		return &s.TraceHits, &s.TraceMisses
+	case KindPrep:
+		return &s.PrepHits, &s.PrepMisses
 	}
+	return &s.ResultHits, &s.ResultMisses
 }
 
 // TraceHitRate returns the trace-kind hit fraction in [0,1].
@@ -178,54 +168,21 @@ func rate(h, m uint64) float64 {
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{entries: map[string]*entry{}, stats: map[string]*kindStats{}}
+	return &Cache{entries: map[string]*entry{}}
 }
 
 // Artifacts is the shared process-wide cache used by the experiment
-// harness: every experiment's traceFor/programFor/detailed lookups route
-// through it, so one `run all` assembles and traces each workload once.
+// harness: every experiment's program, trace, prep and detailed lookups
+// route through it, so one `run all` assembles and traces each workload
+// once.
 var Artifacts = NewCache()
 
-// SetSink attaches an event sink that observes every lookup (hit and
-// miss). Pass nil to detach.
-func (c *Cache) SetSink(s Sink) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sink = s
-}
-
-// Reset drops every cached artifact and zeroes the statistics. Intended
-// for benchmarks measuring cold-cache behaviour; it must not race with
-// in-flight lookups.
+// Reset drops every cached artifact. Intended for benchmarks measuring
+// cold-cache behaviour; it must not race with in-flight lookups.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = map[string]*entry{}
-	c.stats = map[string]*kindStats{}
-	c.store = storeStats{}
-}
-
-// Stats snapshots the per-kind hit/miss counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	get := func(kind string) kindStats {
-		if s := c.stats[kind]; s != nil {
-			return *s
-		}
-		return kindStats{}
-	}
-	p, t, r := get(KindProgram), get(KindTrace), get(KindResult)
-	pr := get(KindPrep)
-	return CacheStats{
-		ProgramHits: p.hits, ProgramMisses: p.misses,
-		TraceHits: t.hits, TraceMisses: t.misses,
-		PrepHits: pr.hits, PrepMisses: pr.misses,
-		ResultHits: r.hits, ResultMisses: r.misses,
-		Healed:    p.healed + t.healed + pr.healed + r.healed,
-		StoreHits: c.store.hits, StorePuts: c.store.puts,
-		StoreEvictions: c.store.evictions, StoreHealed: c.store.quarantines,
-	}
 }
 
 // addr derives the content address for an artifact description.
@@ -257,36 +214,31 @@ func Address(parts ...string) string { return addr(parts...) }
 //     a retried job) recomputes instead of replaying the failure;
 //   - values are verified: a hit whose artifact fails its checksum is
 //     quarantined and recomputed once (see Cache doc).
-func (c *Cache) get(kind, key, address string, compute func() (interface{}, error)) (interface{}, bool, error) {
-	return c.getDepth(kind, key, address, compute, 0)
+//
+// compute runs under the miss's stage-span context, so the lookups and
+// store calls it makes nest beneath that span.
+func (c *Cache) get(ctx context.Context, kind, key, address string, compute func(context.Context) (interface{}, error)) (interface{}, bool, error) {
+	return c.getDepth(ctx, kind, key, address, compute, 0)
 }
 
-func (c *Cache) getDepth(kind, key, address string, compute func() (interface{}, error), depth int) (interface{}, bool, error) {
+func (c *Cache) getDepth(ctx context.Context, kind, key, address string, compute func(context.Context) (interface{}, error), depth int) (interface{}, bool, error) {
+	sc := scopeOf(ctx)
 	c.mu.Lock()
-	st := c.stats[kind]
-	if st == nil {
-		st = &kindStats{}
-		c.stats[kind] = st
-	}
 	if e, ok := c.entries[address]; ok {
-		st.hits++
-		sink := c.sink
 		c.mu.Unlock()
-		emit(sink, Event{Ev: "cache", Kind: kind, Key: key, Addr: address, Hit: boolp(true)})
+		sc.record(Event{Ev: "cache", Kind: kind, Key: key, Addr: address, Hit: boolp(true)})
 		<-e.ready
 		if e.err == nil && e.summed {
 			if sum, _ := fingerprint(e.val); sum != e.sum {
-				return c.heal(kind, key, address, compute, depth, e, st)
+				return c.heal(ctx, kind, key, address, compute, depth, e)
 			}
 		}
 		return e.val, true, e.err
 	}
 	e := &entry{ready: make(chan struct{})}
 	c.entries[address] = e
-	st.misses++
-	sink := c.sink
 	c.mu.Unlock()
-	emit(sink, Event{Ev: "cache", Kind: kind, Key: key, Addr: address, Hit: boolp(false)})
+	sc.record(Event{Ev: "cache", Kind: kind, Key: key, Addr: address, Hit: boolp(false)})
 
 	defer func() {
 		if e.err != nil {
@@ -301,16 +253,15 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 	}()
 	func() {
 		// The stage span brackets the whole miss path — store lookup
-		// included — and binds this goroutine so store spans nest under
-		// it. Only the computing goroutine pays it; singleflight waiters
-		// attribute the wait to their own job span.
-		sp := telemetry.StartSpan(stageSpanName(kind))
+		// included — and its context carries the compute, so store spans
+		// and nested lookups nest under it. Only the computing goroutine
+		// pays it; singleflight waiters attribute the wait to their own
+		// job span.
+		sp, sctx := telemetry.StartSpan(ctx, stageSpanName(kind))
 		if sp != nil {
 			sp.Kind, sp.Key, sp.Addr = kind, key, address
 		}
-		unbind := sp.Bind()
 		defer func() {
-			unbind()
 			if sp != nil && e.err != nil {
 				sp.Err = e.err.Error()
 			}
@@ -326,7 +277,7 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 		}()
 		// throughDisk consults the persistent store (when one is attached
 		// and the kind persists) before falling back to compute.
-		e.val, e.err = c.throughDisk(kind, key, address, compute)
+		e.val, e.err = c.throughDisk(sctx, kind, key, address, compute)
 	}()
 	if e.err == nil {
 		e.sum, e.summed = fingerprint(e.val)
@@ -349,30 +300,32 @@ func (c *Cache) getDepth(kind, key, address string, compute func() (interface{},
 }
 
 // heal quarantines a corrupt entry and recomputes it once. Concurrent
-// detectors race to evict; exactly one counts the corruption, and all of
-// them converge on the recomputation's singleflight entry.
-func (c *Cache) heal(kind, key, address string, compute func() (interface{}, error), depth int, bad *entry, st *kindStats) (interface{}, bool, error) {
+// detectors race to evict; exactly one records the corruption (counts
+// it and emits cache_corrupt), and all of them converge on the
+// recomputation's singleflight entry.
+func (c *Cache) heal(ctx context.Context, kind, key, address string, compute func(context.Context) (interface{}, error), depth int, bad *entry) (interface{}, bool, error) {
 	if depth >= 1 {
 		return nil, false, fmt.Errorf("runner: %s %s (%s): artifact failed its checksum again after recomputation", kind, key, address)
 	}
 	c.mu.Lock()
-	if c.entries[address] == bad {
+	evicted := c.entries[address] == bad
+	if evicted {
 		delete(c.entries, address)
-		st.healed++
 	}
-	sink := c.sink
 	c.mu.Unlock()
-	emit(sink, Event{Ev: "cache_corrupt", Kind: kind, Key: key, Addr: address})
-	return c.getDepth(kind, key, address, compute, depth+1)
+	if evicted {
+		scopeOf(ctx).record(Event{Ev: "cache_corrupt", Kind: kind, Key: key, Addr: address})
+	}
+	return c.getDepth(ctx, kind, key, address, compute, depth+1)
 }
 
 // Program returns the assembled program for a workload at an iteration
 // count, addressed by the hash of the generated assembly source. The
 // bool reports a cache hit.
-func (c *Cache) Program(w *workloads.Workload, iters int) (*prog.Program, bool, error) {
+func (c *Cache) Program(ctx context.Context, w *workloads.Workload, iters int) (*prog.Program, bool, error) {
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d", w.Name, iters)
-	v, hit, err := c.get(KindProgram, key, addr(KindProgram, src), func() (interface{}, error) {
+	v, hit, err := c.get(ctx, KindProgram, key, addr(KindProgram, src), func(context.Context) (interface{}, error) {
 		return w.Assemble(iters)
 	})
 	if err != nil {
@@ -385,14 +338,14 @@ func (c *Cache) Program(w *workloads.Workload, iters int) (*prog.Program, bool, 
 // iteration count under the given trace options, addressed by the
 // program's content address plus the options. The bool reports a cache
 // hit.
-func (c *Cache) Trace(w *workloads.Workload, iters int, opt trace.Options) (*trace.Trace, bool, error) {
-	p, _, err := c.Program(w, iters)
+func (c *Cache) Trace(ctx context.Context, w *workloads.Workload, iters int, opt trace.Options) (*trace.Trace, bool, error) {
+	p, _, err := c.Program(ctx, w, iters)
 	if err != nil {
 		return nil, false, err
 	}
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d %+v", w.Name, iters, opt)
-	v, hit, err := c.get(KindTrace, key, addr(KindTrace, src, fmt.Sprintf("%+v", opt)), func() (interface{}, error) {
+	v, hit, err := c.get(ctx, KindTrace, key, addr(KindTrace, src, fmt.Sprintf("%+v", opt)), func(context.Context) (interface{}, error) {
 		if faults.Fire(FaultTraceBudget) {
 			// Failures are not memoized, so a retried job recomputes.
 			return nil, Transient(errors.New("faults: injected emulator step-budget exhaustion"))
@@ -412,14 +365,14 @@ func (c *Cache) Trace(w *workloads.Workload, iters int, opt trace.Options) (*tra
 // window) point of a sweep. The bool reports whether the underlying
 // trace was a cache hit, which is what the experiments' instruction
 // accounting keys on.
-func (c *Cache) IdealPrep(w *workloads.Workload, iters int, opt trace.Options) (*ideal.Prep, bool, error) {
-	tr, traceHit, err := c.Trace(w, iters, opt)
+func (c *Cache) IdealPrep(ctx context.Context, w *workloads.Workload, iters int, opt trace.Options) (*ideal.Prep, bool, error) {
+	tr, traceHit, err := c.Trace(ctx, w, iters, opt)
 	if err != nil {
 		return nil, traceHit, err
 	}
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d ideal %+v", w.Name, iters, opt)
-	v, _, err := c.get(KindPrep, key, addr(KindPrep, "ideal", src, fmt.Sprintf("%+v", opt)), func() (interface{}, error) {
+	v, _, err := c.get(ctx, KindPrep, key, addr(KindPrep, "ideal", src, fmt.Sprintf("%+v", opt)), func(context.Context) (interface{}, error) {
 		return ideal.Prepare(tr), nil
 	})
 	if err != nil {
@@ -432,10 +385,10 @@ func (c *Cache) IdealPrep(w *workloads.Workload, iters int, opt trace.Options) (
 // post-dominator analysis) for a program, addressed by its content
 // address plus the instruction budget. One prep serves every detailed
 // configuration of the workload.
-func (c *Cache) prep(w *workloads.Workload, iters int, p *prog.Program, maxInstrs uint64) (*ooo.Prep, error) {
+func (c *Cache) prep(ctx context.Context, w *workloads.Workload, iters int, p *prog.Program, maxInstrs uint64) (*ooo.Prep, error) {
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d max=%d", w.Name, iters, maxInstrs)
-	v, _, err := c.get(KindPrep, key, addr(KindPrep, src, fmt.Sprint(maxInstrs)), func() (interface{}, error) {
+	v, _, err := c.get(ctx, KindPrep, key, addr(KindPrep, src, fmt.Sprint(maxInstrs)), func(context.Context) (interface{}, error) {
 		return ooo.Prepare(p, maxInstrs)
 	})
 	if err != nil {
@@ -452,13 +405,24 @@ func (c *Cache) prep(w *workloads.Workload, iters int, p *prog.Program, maxInstr
 // so a hit touches nothing but the result. Configurations carrying debug
 // hooks are executed directly — uncached, though still over the shared
 // prep artifacts. The bool reports a cache hit.
+//
+// Detailed is DetailedContext under context.Background: no scope
+// records the lookups and no span parents them. It serves callers
+// outside any sweep: `cisim sim`, and the perfbench module, which builds
+// separately against this signature and times warm hits through it.
 func (c *Cache) Detailed(w *workloads.Workload, iters int, cfg ooo.Config) (*ooo.Result, bool, error) {
-	run := func() (*ooo.Result, error) {
-		p, _, err := c.Program(w, iters)
+	return c.DetailedContext(context.Background(), w, iters, cfg)
+}
+
+// DetailedContext is Detailed under ctx, whose Scope records the
+// lookups and whose span parents their stage spans.
+func (c *Cache) DetailedContext(ctx context.Context, w *workloads.Workload, iters int, cfg ooo.Config) (*ooo.Result, bool, error) {
+	run := func(ctx context.Context) (*ooo.Result, error) {
+		p, _, err := c.Program(ctx, w, iters)
 		if err != nil {
 			return nil, err
 		}
-		pre, err := c.prep(w, iters, p, cfg.MaxInstrs)
+		pre, err := c.prep(ctx, w, iters, p, cfg.MaxInstrs)
 		if err != nil {
 			return nil, err
 		}
@@ -466,13 +430,13 @@ func (c *Cache) Detailed(w *workloads.Workload, iters int, cfg ooo.Config) (*ooo
 	}
 	ck, memoizable := cfg.Key()
 	if !memoizable {
-		r, err := run()
+		r, err := run(ctx)
 		return r, false, err
 	}
 	src := w.Source(iters)
 	key := fmt.Sprintf("%s iters=%d %s", w.Name, iters, cfg.Machine)
-	v, hit, err := c.get(KindResult, key, addr(KindResult, src, ck), func() (interface{}, error) {
-		return run()
+	v, hit, err := c.get(ctx, KindResult, key, addr(KindResult, src, ck), func(ctx context.Context) (interface{}, error) {
+		return run(ctx)
 	})
 	if err != nil {
 		return nil, hit, err

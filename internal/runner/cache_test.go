@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -12,6 +13,12 @@ import (
 	"cisim/internal/trace"
 	"cisim/internal/workloads"
 )
+
+// scoped returns a context carrying a fresh scope that emits to sink.
+func scoped(sink Sink) (context.Context, *Scope) {
+	sc := NewScope(sink)
+	return WithScope(context.Background(), sc), sc
+}
 
 func testWorkload(t testing.TB) *workloads.Workload {
 	t.Helper()
@@ -29,15 +36,16 @@ func TestTraceMemoized(t *testing.T) {
 	c := NewCache()
 	w := testWorkload(t)
 	opt := trace.Options{MaxInstrs: 5_000}
+	ctx, sc := scoped(nil)
 
-	tr1, hit, err := c.Trace(w, 100, opt)
+	tr1, hit, err := c.Trace(ctx, w, 100, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Error("first lookup reported a hit")
 	}
-	tr2, hit, err := c.Trace(w, 100, opt)
+	tr2, hit, err := c.Trace(ctx, w, 100, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +55,13 @@ func TestTraceMemoized(t *testing.T) {
 	if tr1 != tr2 {
 		t.Error("second lookup regenerated the trace (different pointer)")
 	}
-	s := c.Stats()
+	s := sc.Stats()
 	if s.TraceMisses != 1 || s.TraceHits != 1 {
 		t.Errorf("trace stats = %d hits / %d misses, want 1/1", s.TraceHits, s.TraceMisses)
 	}
 
 	// A different key must not share the entry.
-	tr3, hit, err := c.Trace(w, 100, trace.Options{MaxInstrs: 2_000})
+	tr3, hit, err := c.Trace(ctx, w, 100, trace.Options{MaxInstrs: 2_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,15 +73,16 @@ func TestTraceMemoized(t *testing.T) {
 func TestProgramMemoized(t *testing.T) {
 	c := NewCache()
 	w := testWorkload(t)
-	p1, hit, err := c.Program(w, 100)
+	ctx := context.Background()
+	p1, hit, err := c.Program(ctx, w, 100)
 	if err != nil || hit {
 		t.Fatalf("first: hit=%v err=%v", hit, err)
 	}
-	p2, hit, err := c.Program(w, 100)
+	p2, hit, err := c.Program(ctx, w, 100)
 	if err != nil || !hit || p2 != p1 {
 		t.Fatalf("second: hit=%v same=%v err=%v", hit, p2 == p1, err)
 	}
-	if p3, hit, _ := c.Program(w, 150); hit || p3 == p1 {
+	if p3, hit, _ := c.Program(ctx, w, 150); hit || p3 == p1 {
 		t.Error("different iteration count shared a program")
 	}
 }
@@ -86,15 +95,16 @@ func TestDetailedCanonicalKey(t *testing.T) {
 	c := NewCache()
 	w := testWorkload(t)
 	base := ooo.Config{Machine: ooo.CI, WindowSize: 64, MaxInstrs: 4_000}
+	ctx, sc := scoped(nil)
 
-	r1, hit, err := c.Detailed(w, 100, base)
+	r1, hit, err := c.DetailedContext(ctx, w, 100, base)
 	if err != nil || hit {
 		t.Fatalf("first: hit=%v err=%v", hit, err)
 	}
 	spelled := base
 	spelled.SegmentSize = 1 // the default, spelled out
-	before := c.Stats()
-	r2, hit, err := c.Detailed(w, 100, spelled)
+	hitCtx, hitScope := scoped(nil)
+	r2, hit, err := c.DetailedContext(hitCtx, w, 100, spelled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,19 +112,19 @@ func TestDetailedCanonicalKey(t *testing.T) {
 		t.Error("canonically identical config re-simulated")
 	}
 	// A result hit touches only the result: no program or prep lookup.
-	if d := c.Stats().Sub(before); d.ProgramHits+d.ProgramMisses+d.PrepHits+d.PrepMisses != 0 {
-		t.Errorf("result hit looked up its program or prep: %+v", d)
+	if d := hitScope.Stats(); d.ResultHits != 1 || d.Hits()+d.Misses() != 1 {
+		t.Errorf("result hit looked up more than its result: %+v", d)
 	}
 	diff := base
 	diff.SegmentSize = 4
-	if r3, hit, _ := c.Detailed(w, 100, diff); hit || r3 == r1 {
+	if r3, hit, _ := c.DetailedContext(ctx, w, 100, diff); hit || r3 == r1 {
 		t.Error("different segment size shared a result")
 	}
-	s := c.Stats()
-	if s.ResultMisses != 2 || s.ResultHits != 1 {
-		t.Errorf("result stats = %d hits / %d misses, want 1/2", s.ResultHits, s.ResultMisses)
+	s := sc.Stats()
+	if s.ResultMisses != 2 || s.ResultHits != 0 {
+		t.Errorf("result stats = %d hits / %d misses, want 0/2", s.ResultHits, s.ResultMisses)
 	}
-	// One prep serves both simulations; the hit in between never asks.
+	// One prep serves both simulations.
 	if s.PrepMisses != 1 || s.PrepHits != 1 {
 		t.Errorf("prep stats = %d hits / %d misses, want 1/1", s.PrepHits, s.PrepMisses)
 	}
@@ -127,18 +137,19 @@ func TestDetailedUncacheable(t *testing.T) {
 	w := testWorkload(t)
 	cfg := ooo.Config{Machine: ooo.CI, WindowSize: 64, MaxInstrs: 4_000,
 		Debug: func(string, ...interface{}) {}}
-	r1, hit, err := c.Detailed(w, 100, cfg)
+	ctx, sc := scoped(nil)
+	r1, hit, err := c.DetailedContext(ctx, w, 100, cfg)
 	if err != nil || hit {
 		t.Fatalf("first: hit=%v err=%v", hit, err)
 	}
-	r2, hit, err := c.Detailed(w, 100, cfg)
+	r2, hit, err := c.DetailedContext(ctx, w, 100, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit || r2 == r1 {
 		t.Error("debug-hooked config was memoized")
 	}
-	if s := c.Stats(); s.ResultHits != 0 || s.ResultMisses != 0 {
+	if s := sc.Stats(); s.ResultHits != 0 || s.ResultMisses != 0 {
 		t.Errorf("uncacheable runs touched result stats: %+v", s)
 	}
 }
@@ -147,6 +158,7 @@ func TestDetailedUncacheable(t *testing.T) {
 // exactly once; every caller gets the value.
 func TestSingleflight(t *testing.T) {
 	c := NewCache()
+	ctx := context.Background()
 	var computes atomic.Int32
 	release := make(chan struct{})
 	const n = 8
@@ -157,7 +169,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.get("kind", "k", "addr1", func() (interface{}, error) {
+			v, _, err := c.get(ctx, "kind", "k", "addr1", func(context.Context) (interface{}, error) {
 				computes.Add(1)
 				<-release
 				return "value", nil
@@ -188,7 +200,8 @@ func TestSingleflight(t *testing.T) {
 // is NOT memoized — a retry recomputes and can succeed.
 func TestCachePanicAndError(t *testing.T) {
 	c := NewCache()
-	_, hit, err := c.get("k", "key", "a1", func() (interface{}, error) { panic("compute exploded") })
+	ctx := context.Background()
+	_, hit, err := c.get(ctx, "k", "key", "a1", func(context.Context) (interface{}, error) { panic("compute exploded") })
 	if hit || err == nil || !strings.Contains(err.Error(), "compute exploded") {
 		t.Fatalf("panic not converted: hit=%v err=%v", hit, err)
 	}
@@ -197,21 +210,21 @@ func TestCachePanicAndError(t *testing.T) {
 		t.Errorf("compute panic lost its stack: %v", err)
 	}
 	// Failures are not memoized: a retry recomputes and succeeds.
-	v, hit, err := c.get("k", "key", "a1", func() (interface{}, error) { return "fine", nil })
+	v, hit, err := c.get(ctx, "k", "key", "a1", func(context.Context) (interface{}, error) { return "fine", nil })
 	if hit || err != nil || v != "fine" {
 		t.Errorf("retry after panic: hit=%v val=%v err=%v", hit, v, err)
 	}
 	// And the successful value is now cached.
-	if _, hit, _ := c.get("k", "key", "a1", func() (interface{}, error) { return "other", nil }); !hit {
+	if _, hit, _ := c.get(ctx, "k", "key", "a1", func(context.Context) (interface{}, error) { return "other", nil }); !hit {
 		t.Error("successful retry was not memoized")
 	}
 
 	want := errors.New("assembler failed")
-	_, _, err = c.get("k", "key2", "a2", func() (interface{}, error) { return nil, want })
+	_, _, err = c.get(ctx, "k", "key2", "a2", func(context.Context) (interface{}, error) { return nil, want })
 	if !errors.Is(err, want) {
 		t.Errorf("error not propagated: %v", err)
 	}
-	if _, hit, _ := c.get("k", "key2", "a2", func() (interface{}, error) { return "recovered", nil }); hit {
+	if _, hit, _ := c.get(ctx, "k", "key2", "a2", func(context.Context) (interface{}, error) { return "recovered", nil }); hit {
 		t.Error("failed compute was memoized")
 	}
 }
@@ -229,23 +242,23 @@ func TestCacheSelfHeal(t *testing.T) {
 	c := NewCache()
 	var mu sync.Mutex
 	var events []Event
-	c.SetSink(sinkFunc(func(e Event) {
+	ctx, sc := scoped(sinkFunc(func(e Event) {
 		mu.Lock()
 		events = append(events, e)
 		mu.Unlock()
 	}))
 	var computes atomic.Int32
-	compute := func() (interface{}, error) {
+	compute := func(context.Context) (interface{}, error) {
 		computes.Add(1)
 		return &fpVal{v: 7}, nil
 	}
-	v1, _, err := c.get(KindTrace, "k", "a", compute)
+	v1, _, err := c.get(ctx, KindTrace, "k", "a", compute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the stored artifact behind the cache's back.
 	v1.(*fpVal).v = 8
-	v2, hit, err := c.get(KindTrace, "k", "a", compute)
+	v2, hit, err := c.get(ctx, KindTrace, "k", "a", compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +268,7 @@ func TestCacheSelfHeal(t *testing.T) {
 	if v2.(*fpVal).v != 7 || computes.Load() != 2 {
 		t.Errorf("corrupt artifact not recomputed: val=%+v computes=%d", v2, computes.Load())
 	}
-	if s := c.Stats(); s.Healed != 1 {
+	if s := sc.Stats(); s.Healed != 1 {
 		t.Errorf("healed = %d, want 1", s.Healed)
 	}
 	mu.Lock()
@@ -274,7 +287,7 @@ func TestCacheSelfHeal(t *testing.T) {
 	// every re-read. One heal is attempted; the second failure is an
 	// error, not an infinite recompute loop.
 	v2.(*fpVal).v = 9
-	_, _, err = c.get(KindTrace, "k", "a", func() (interface{}, error) { return &drifting{}, nil })
+	_, _, err = c.get(ctx, KindTrace, "k", "a", func(context.Context) (interface{}, error) { return &drifting{}, nil })
 	if err == nil || !strings.Contains(err.Error(), "checksum again") {
 		t.Errorf("persistent corruption not reported: %v", err)
 	}
@@ -296,44 +309,46 @@ func TestCacheCorruptFault(t *testing.T) {
 	faults.Set(plan)
 	defer faults.Clear()
 	c := NewCache()
+	ctx, sc := scoped(nil)
 	var computes atomic.Int32
-	compute := func() (interface{}, error) {
+	compute := func(context.Context) (interface{}, error) {
 		computes.Add(1)
 		return &fpVal{v: 42}, nil
 	}
-	if _, _, err := c.get(KindResult, "k", "a", compute); err != nil {
+	if _, _, err := c.get(ctx, KindResult, "k", "a", compute); err != nil {
 		t.Fatal(err)
 	}
 	// First read after the corrupted store: detected, healed, recomputed.
-	v, _, err := c.get(KindResult, "k", "a", compute)
+	v, _, err := c.get(ctx, KindResult, "k", "a", compute)
 	if err != nil || v.(*fpVal).v != 42 {
 		t.Fatalf("heal failed: val=%v err=%v", v, err)
 	}
 	if computes.Load() != 2 {
 		t.Errorf("computes = %d, want 2", computes.Load())
 	}
-	if s := c.Stats(); s.Healed != 1 {
+	if s := sc.Stats(); s.Healed != 1 {
 		t.Errorf("healed = %d, want 1", s.Healed)
 	}
 	// The fault fired once; the healed entry now verifies clean.
-	if _, hit, _ := c.get(KindResult, "k", "a", compute); !hit || computes.Load() != 2 {
+	if _, hit, _ := c.get(ctx, KindResult, "k", "a", compute); !hit || computes.Load() != 2 {
 		t.Error("healed entry did not stick")
 	}
 }
 
-// TestCacheEvents: lookups emit cache events tagged hit/miss.
+// TestCacheEvents: lookups emit cache events tagged hit/miss to the
+// scope their context carries, which counts exactly what it emits.
 func TestCacheEvents(t *testing.T) {
 	c := NewCache()
 	var mu sync.Mutex
 	var events []Event
-	c.SetSink(sinkFunc(func(e Event) {
+	ctx, sc := scoped(sinkFunc(func(e Event) {
 		mu.Lock()
 		events = append(events, e)
 		mu.Unlock()
 	}))
-	compute := func() (interface{}, error) { return 1, nil }
-	c.get(KindTrace, "k", "a", compute)
-	c.get(KindTrace, "k", "a", compute)
+	compute := func(context.Context) (interface{}, error) { return 1, nil }
+	c.get(ctx, KindTrace, "k", "a", compute)
+	c.get(ctx, KindTrace, "k", "a", compute)
 	if len(events) != 2 {
 		t.Fatalf("got %d events", len(events))
 	}
@@ -343,21 +358,22 @@ func TestCacheEvents(t *testing.T) {
 	if events[1].Hit == nil || !*events[1].Hit {
 		t.Errorf("second event = %+v", events[1])
 	}
-	c.SetSink(nil)
-	c.get(KindTrace, "k", "a", compute)
-	if len(events) != 2 {
-		t.Error("detached sink still received events")
+	if s := sc.Stats(); s.TraceHits != 1 || s.TraceMisses != 1 || s.Hits()+s.Misses() != 2 {
+		t.Errorf("scope stats = %+v, want one trace hit and one miss", s)
+	}
+	// A lookup under a context without the scope reaches neither.
+	c.get(context.Background(), KindTrace, "k", "a", compute)
+	if len(events) != 2 || sc.Stats().Hits() != 1 {
+		t.Error("a scope-less lookup reached the scope")
 	}
 }
 
 func TestCacheReset(t *testing.T) {
 	c := NewCache()
-	c.get("k", "k", "a", func() (interface{}, error) { return 1, nil })
+	ctx := context.Background()
+	c.get(ctx, "k", "k", "a", func(context.Context) (interface{}, error) { return 1, nil })
 	c.Reset()
-	if s := c.Stats(); s.Hits()+s.Misses() != 0 {
-		t.Errorf("stats survived reset: %+v", s)
-	}
-	_, hit, _ := c.get("k", "k", "a", func() (interface{}, error) { return 2, nil })
+	_, hit, _ := c.get(ctx, "k", "k", "a", func(context.Context) (interface{}, error) { return 2, nil })
 	if hit {
 		t.Error("entry survived reset")
 	}
@@ -376,9 +392,5 @@ func TestCacheStatsMath(t *testing.T) {
 	}
 	if got := (CacheStats{}).HitRate(); got != 0 {
 		t.Errorf("empty hit rate = %v", got)
-	}
-	d := s.Sub(CacheStats{TraceHits: 1, ResultMisses: 1})
-	if d.TraceHits != 1 || d.ResultMisses != 3 || d.ProgramHits != 1 {
-		t.Errorf("sub = %+v", d)
 	}
 }

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -64,16 +65,18 @@ func (c *Cache) diskFor(kind string) *store.Store {
 // throughDisk interposes the persistent store on a memory miss. It
 // preserves compute's contract exactly — same value type, same errors —
 // so getDepth's fingerprinting, corruption faulting and heal logic
-// apply unchanged to disk-served values.
-func (c *Cache) throughDisk(kind, key, address string, compute func() (interface{}, error)) (interface{}, error) {
+// apply unchanged to disk-served values. ctx is the miss's stage-span
+// context; the store spans nest under it and its scope records the
+// store events.
+func (c *Cache) throughDisk(ctx context.Context, kind, key, address string, compute func(context.Context) (interface{}, error)) (interface{}, error) {
 	d := c.diskFor(kind)
 	if d == nil {
-		return compute()
+		return compute(ctx)
 	}
-	if v, ok := c.diskGet(d, kind, key, address); ok {
+	if v, ok := c.diskFetch(ctx, d, kind, key, address, d.Get); ok {
 		return v, nil
 	}
-	lockSp := telemetry.StartSpan("store:lock_wait")
+	lockSp, _ := telemetry.StartSpan(ctx, "store:lock_wait")
 	if lockSp != nil {
 		lockSp.Kind, lockSp.Key, lockSp.Addr = kind, key, address
 	}
@@ -88,41 +91,34 @@ func (c *Cache) throughDisk(kind, key, address string, compute func() (interface
 		// may have computed and stored this very entry. GetLocked, not
 		// Get — a read-pin through a second descriptor would block on
 		// our own exclusive hold.
-		if v, ok := c.diskGetLocked(d, kind, key, address); ok {
+		if v, ok := c.diskFetch(ctx, d, kind, key, address, d.GetLocked); ok {
 			return v, nil
 		}
-		v, err := compute()
+		v, err := compute(ctx)
 		if err == nil {
-			c.diskPut(d, kind, key, address, v)
+			c.diskPut(ctx, d, kind, key, address, v)
 		}
 		return v, err
 	}
 	// No lock: compute without cross-process dedup (correct, possibly
 	// duplicated) and still write through for future readers.
-	v, err := compute()
+	v, err := compute(ctx)
 	if err == nil {
-		c.diskPut(d, kind, key, address, v)
+		c.diskPut(ctx, d, kind, key, address, v)
 	}
 	return v, err
 }
 
-// diskGet fetches and fully verifies one artifact from the store:
-// store-level checksums first (inside store.Get), then decode, then the
+// diskFetch fetches and fully verifies one artifact from the store:
+// store-level checksums first (inside read), then decode, then the
 // Fingerprinter check against the fingerprint recorded at put time.
-// Any failure quarantines the blob and reports a miss.
-func (c *Cache) diskGet(d *store.Store, kind, key, address string) (interface{}, bool) {
-	return c.diskFetch(d, kind, key, address, d.Get)
-}
-
-// diskGetLocked is diskGet for the singleflight winner, which already
-// holds the entry's exclusive flock.
-func (c *Cache) diskGetLocked(d *store.Store, kind, key, address string) (interface{}, bool) {
-	return c.diskFetch(d, kind, key, address, d.GetLocked)
-}
-
-func (c *Cache) diskFetch(d *store.Store, kind, key, address string,
+// Any failure quarantines the blob and reports a miss. read is d.Get,
+// or d.GetLocked for the singleflight winner, which already holds the
+// entry's exclusive flock.
+func (c *Cache) diskFetch(ctx context.Context, d *store.Store, kind, key, address string,
 	read func(kind, addr string) ([]byte, uint64, bool, error)) (interface{}, bool) {
-	sp := telemetry.StartSpan("store:get")
+	sc := scopeOf(ctx)
+	sp, _ := telemetry.StartSpan(ctx, "store:get")
 	if sp != nil {
 		sp.Kind, sp.Key, sp.Addr = kind, key, address
 	}
@@ -131,11 +127,10 @@ func (c *Cache) diskFetch(d *store.Store, kind, key, address string,
 	if err != nil {
 		var ce *store.CorruptError
 		if errors.As(err, &ce) {
-			c.storeCountQuarantine()
 			if sp != nil {
 				sp.Err = ce.Reason
 			}
-			emit(c.sinkNow(), Event{Ev: "store_quarantine", Kind: kind, Key: key, Addr: address, Err: ce.Reason})
+			sc.record(Event{Ev: "store_quarantine", Kind: kind, Key: key, Addr: address, Err: ce.Reason})
 		}
 		// Read errors (permissions, transient I/O) degrade to a miss: the
 		// store is an accelerator, never a point of failure.
@@ -152,26 +147,24 @@ func (c *Cache) diskFetch(d *store.Store, kind, key, address string,
 	}
 	if derr != nil {
 		d.Quarantine(kind, address, derr.Error())
-		c.storeCountQuarantine()
 		if sp != nil {
 			sp.Err = derr.Error()
 		}
-		emit(c.sinkNow(), Event{Ev: "store_quarantine", Kind: kind, Key: key, Addr: address, Err: derr.Error()})
+		sc.record(Event{Ev: "store_quarantine", Kind: kind, Key: key, Addr: address, Err: derr.Error()})
 		return nil, false
 	}
-	c.storeCountHit()
 	if sp != nil {
 		sp.Bytes = int64(len(payload))
 	}
-	emit(c.sinkNow(), Event{Ev: "store_hit", Kind: kind, Key: key, Addr: address, Bytes: int64(len(payload))})
+	sc.record(Event{Ev: "store_hit", Kind: kind, Key: key, Addr: address, Bytes: int64(len(payload))})
 	return v, true
 }
 
 // diskPut writes a freshly computed artifact through to the store.
 // Failures are absorbed: a store that cannot accept writes (full disk,
 // injected faults) costs future misses, not the current run.
-func (c *Cache) diskPut(d *store.Store, kind, key, address string, v interface{}) {
-	sp := telemetry.StartSpan("store:put")
+func (c *Cache) diskPut(ctx context.Context, d *store.Store, kind, key, address string, v interface{}) {
+	sp, _ := telemetry.StartSpan(ctx, "store:put")
 	if sp != nil {
 		sp.Kind, sp.Key, sp.Addr = kind, key, address
 	}
@@ -194,49 +187,11 @@ func (c *Cache) diskPut(d *store.Store, kind, key, address string, v interface{}
 	if sp != nil {
 		sp.Bytes = st.Bytes
 	}
-	c.storeCountPut()
-	sink := c.sinkNow()
-	emit(sink, Event{Ev: "store_put", Kind: kind, Key: key, Addr: address, Bytes: st.Bytes})
+	sc := scopeOf(ctx)
+	sc.record(Event{Ev: "store_put", Kind: kind, Key: key, Addr: address, Bytes: st.Bytes})
 	for _, ev := range st.Evicted {
-		c.storeCountEviction()
-		emit(sink, Event{Ev: "store_evict", Kind: ev.Kind, Addr: ev.Addr, Bytes: ev.Bytes})
+		sc.record(Event{Ev: "store_evict", Kind: ev.Kind, Addr: ev.Addr, Bytes: ev.Bytes})
 	}
-}
-
-// sinkNow snapshots the current sink under the cache lock.
-func (c *Cache) sinkNow() Sink {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sink
-}
-
-// The store-layer counter bumps each take the cache lock themselves:
-// they sit on store I/O paths where the lock is never already held, and
-// keeping the increment inside the locking function keeps the guarded-
-// field discipline checkable.
-
-func (c *Cache) storeCountHit() {
-	c.mu.Lock()
-	c.store.hits++
-	c.mu.Unlock()
-}
-
-func (c *Cache) storeCountPut() {
-	c.mu.Lock()
-	c.store.puts++
-	c.mu.Unlock()
-}
-
-func (c *Cache) storeCountEviction() {
-	c.mu.Lock()
-	c.store.evictions++
-	c.mu.Unlock()
-}
-
-func (c *Cache) storeCountQuarantine() {
-	c.mu.Lock()
-	c.store.quarantines++
-	c.mu.Unlock()
 }
 
 // encodeArtifact serializes an artifact for the store. Only result

@@ -124,13 +124,6 @@ type Sink interface {
 	Emit(Event)
 }
 
-// emit forwards an event to an optional sink.
-func emit(s Sink, e Event) {
-	if s != nil {
-		s.Emit(e)
-	}
-}
-
 // JSONLSink writes events as JSON lines to an io.Writer.
 type JSONLSink struct {
 	mu    sync.Mutex

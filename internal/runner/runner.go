@@ -85,9 +85,6 @@ type JobResult struct {
 type Pool struct {
 	// Workers bounds concurrent jobs; 0 means GOMAXPROCS.
 	Workers int
-	// Events, when non-nil, receives job_start/job_end/job_retry/
-	// job_stall/run_abort events.
-	Events Sink
 	// Timeout is the per-attempt job deadline; 0 means none. A job that
 	// outlives it fails with ErrTimeout after a job_stall event.
 	Timeout time.Duration
@@ -131,12 +128,14 @@ func (p *Pool) Run(jobs []Job) []JobResult {
 	return p.RunContext(context.Background(), jobs)
 }
 
-// RunContext is Run under a context. When the context is canceled —
-// SIGINT/SIGTERM at the CLI, a cancel or graceful drain at the serve
-// daemon, or the run-abort fault point — the pool stops dispatching,
-// lets in-flight jobs drain, marks the remainder skipped
-// (Err == ErrAborted), emits one run_abort event, and returns every
-// slot filled. Results stay indexed by submission order.
+// RunContext is Run under a context. The context's Scope receives the
+// job_start/job_end/job_retry/job_stall/run_abort events, and its span
+// parents each job span; each job runs under its job span's context.
+// When the context is canceled — SIGINT/SIGTERM at the CLI, a cancel or
+// graceful drain at the serve daemon, or the run-abort fault point — the
+// pool stops dispatching, lets in-flight jobs drain, marks the remainder
+// skipped (Err == ErrAborted), emits one run_abort event, and returns
+// every slot filled. Results stay indexed by submission order.
 func (p *Pool) RunContext(parent context.Context, jobs []Job) []JobResult {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
@@ -184,7 +183,7 @@ dispatch:
 				skipped++
 			}
 		}
-		emit(p.Events, Event{Ev: "run_abort", Jobs: len(jobs), Skipped: skipped})
+		scopeOf(ctx).Emit(Event{Ev: "run_abort", Jobs: len(jobs), Skipped: skipped})
 	}
 	return results
 }
@@ -207,7 +206,7 @@ func (p *Pool) runOne(ctx context.Context, j Job, worker int, poolStart time.Tim
 			return res
 		}
 		delay := backoffDelay(p.RetryBase, attempt)
-		emit(p.Events, Event{Ev: "job_retry", Exp: j.Exp, Key: j.Key, Worker: worker,
+		scopeOf(ctx).Emit(Event{Ev: "job_retry", Exp: j.Exp, Key: j.Key, Worker: worker,
 			Attempt: attempt, DelayMs: round2(delay.Seconds() * 1000), Err: res.Err.Error()})
 		t := time.NewTimer(delay)
 		select {
@@ -243,20 +242,20 @@ func (p *Pool) attempt(ctx context.Context, j Job, attempt, worker int, poolStar
 		jctx, cancel = context.WithTimeout(ctx, p.Timeout)
 	}
 	defer cancel()
+	sc := scopeOf(ctx)
 	ev := Event{Ev: "job_start", Exp: j.Exp, Key: j.Key, Worker: worker}
 	if attempt > 1 {
 		ev.Attempt = attempt
 	}
-	emit(p.Events, ev)
+	sc.Emit(ev)
 	start := time.Now()
 	done := make(chan JobResult, 1)
 	go func() {
-		// The job span lives on this goroutine — the one that runs
-		// j.Run — and binds it, so stage and store spans started inside
-		// the closure nest under the job without any API threading. A
-		// watchdog-abandoned job ends its span late or never; that record
-		// is simply absent from the export, like its job_end event.
-		sp := telemetry.StartSpan("job")
+		// The job runs under its span's context, so the stage and store
+		// spans of its cache lookups nest under the job. A watchdog-
+		// abandoned job ends its span late or never; that record is
+		// simply absent from the export, like its job_end event.
+		sp, sctx := telemetry.StartSpan(jctx, "job")
 		if sp != nil {
 			sp.Exp, sp.Key, sp.Worker = j.Exp, j.Key, worker
 			if attempt > 1 {
@@ -265,10 +264,8 @@ func (p *Pool) attempt(ctx context.Context, j Job, attempt, worker int, poolStar
 				sp.QueueUs = telemetry.Us(start.Sub(poolStart))
 			}
 		}
-		unbind := sp.Bind()
 		var r JobResult
-		r.Val, r.Instrs, r.Err = runJob(jctx, j)
-		unbind()
+		r.Val, r.Instrs, r.Err = runJob(sctx, j)
 		if sp != nil && r.Err != nil {
 			sp.Err = r.Err.Error()
 		}
@@ -280,7 +277,7 @@ func (p *Pool) attempt(ctx context.Context, j Job, attempt, worker int, poolStar
 	case res = <-done:
 	case <-jctx.Done():
 		if errors.Is(jctx.Err(), context.DeadlineExceeded) {
-			emit(p.Events, Event{Ev: "job_stall", Exp: j.Exp, Key: j.Key, Worker: worker,
+			sc.Emit(Event{Ev: "job_stall", Exp: j.Exp, Key: j.Key, Worker: worker,
 				Ms: round2(time.Since(start).Seconds() * 1000)})
 			// Grace window: a job that observes its context exits here;
 			// a compute-bound one is abandoned.
@@ -318,7 +315,7 @@ func (p *Pool) attempt(ctx context.Context, j Job, attempt, worker int, poolStar
 			end.Err = res.Err.Error()
 		}
 	}
-	emit(p.Events, end)
+	sc.Emit(end)
 	return res
 }
 

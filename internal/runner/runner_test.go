@@ -189,7 +189,7 @@ func TestPoolEvents(t *testing.T) {
 		{Exp: "x", Key: "a", Run: func(ctx context.Context) (interface{}, uint64, error) { return nil, 7, nil }},
 		{Exp: "x", Key: "b", Run: func(ctx context.Context) (interface{}, uint64, error) { return nil, 0, errors.New("nope") }},
 	}
-	(&Pool{Workers: 2, Events: sink}).Run(jobs)
+	(&Pool{Workers: 2}).RunContext(sinkCtx(sink), jobs)
 	var starts, ends, failed int
 	for _, e := range events {
 		switch e.Ev {
@@ -231,7 +231,7 @@ func TestPoolRetryTransient(t *testing.T) {
 			return nil, 0, errors.New("broken for good")
 		}},
 	}
-	results := (&Pool{Workers: 2, Retries: 3, RetryBase: time.Millisecond, Events: sink}).Run(jobs)
+	results := (&Pool{Workers: 2, Retries: 3, RetryBase: time.Millisecond}).RunContext(sinkCtx(sink), jobs)
 	if results[0].Err != nil || results[0].Val != "ok" || results[0].Attempts != 3 {
 		t.Errorf("flaky job: %+v", results[0])
 	}
@@ -305,7 +305,7 @@ func TestPoolTimeout(t *testing.T) {
 			return "ran", 0, nil
 		}},
 	}
-	results := (&Pool{Workers: 1, Timeout: 20 * time.Millisecond, Events: sink}).Run(jobs)
+	results := (&Pool{Workers: 1, Timeout: 20 * time.Millisecond}).RunContext(sinkCtx(sink), jobs)
 	if !errors.Is(results[0].Err, ErrTimeout) {
 		t.Errorf("hung job error = %v, want ErrTimeout", results[0].Err)
 	}
@@ -334,7 +334,7 @@ func TestPoolAbort(t *testing.T) {
 		events = append(events, e)
 		mu.Unlock()
 	})
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(sinkCtx(sink))
 	started := make(chan struct{})
 	release := make(chan struct{})
 	jobs := []Job{
@@ -347,7 +347,7 @@ func TestPoolAbort(t *testing.T) {
 		{Exp: "x", Key: "never2", Run: func(jctx context.Context) (interface{}, uint64, error) { return nil, 0, nil }},
 	}
 	done := make(chan []JobResult)
-	go func() { done <- (&Pool{Workers: 1, Events: sink}).RunContext(ctx, jobs) }()
+	go func() { done <- (&Pool{Workers: 1}).RunContext(ctx, jobs) }()
 	<-started
 	cancel()
 	// Give the dispatcher a beat to observe the cancellation before the
@@ -435,7 +435,7 @@ func TestPoolConcurrentRetries(t *testing.T) {
 			return i, 1, nil
 		}}
 	}
-	results := (&Pool{Workers: 8, Retries: 1, RetryBase: time.Microsecond, Events: sink}).Run(jobs)
+	results := (&Pool{Workers: 8, Retries: 1, RetryBase: time.Microsecond}).RunContext(sinkCtx(sink), jobs)
 	for i, r := range results {
 		if r.Err != nil || r.Val.(int) != i || r.Attempts != 2 {
 			t.Errorf("job %d: %+v", i, r)
@@ -457,6 +457,12 @@ func TestPoolConcurrentRetries(t *testing.T) {
 type sinkFunc func(Event)
 
 func (f sinkFunc) Emit(e Event) { f(e) }
+
+// sinkCtx returns a context whose scope emits to sink.
+func sinkCtx(sink Sink) context.Context {
+	ctx, _ := scoped(sink)
+	return ctx
+}
 
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer

@@ -21,12 +21,13 @@
 //	GET    /healthz               api.Health (serving/draining + job counts)
 //	GET    /version               api.VersionInfo
 //
-// Sweeps execute strictly one at a time on a single dispatcher
-// goroutine — parallelism lives inside a sweep (the runner pool), and
-// serializing sweeps keeps the process-global artifact cache's event
-// attribution unambiguous. The bounded queue is the backpressure
-// boundary: when it is full the daemon says so immediately with 429 and
-// a Retry-After hint instead of absorbing unbounded work.
+// Sweeps execute one at a time on a single dispatcher goroutine — a
+// policy, not a correctness requirement: parallelism lives inside a
+// sweep (the runner pool), and each sweep's events, spans and cache
+// counts ride its own context, so concurrent sweeps would keep disjoint
+// records. The bounded queue is the backpressure boundary: when it is
+// full the daemon says so immediately with 429 and a Retry-After hint
+// instead of absorbing unbounded work.
 //
 // Shutdown is the SIGINT drain path one level up: queued sweeps are
 // cancelled, the running sweep's context is cancelled so the pool stops
@@ -253,9 +254,8 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 
 	// Tracing is always on for daemon sweeps: one collector per sweep,
 	// rooted at a serve:sweep span that adopts the client's trace and
-	// parent when a traceparent header supplied them. Enabling the
-	// process-global collector is safe because dispatch is serial — the
-	// same discipline that keeps cache-event attribution unambiguous.
+	// parent when a traceparent header supplied them. The root rides the
+	// sweep's context, never the process-global collector.
 	trace := j.trace
 	if trace == "" {
 		trace = telemetry.TraceID("serve", j.id)
@@ -265,15 +265,10 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	root := col.StartWith(j.parentSpan, "serve:sweep")
 	root.Key = j.id
 	root.QueueUs = telemetry.Us(queueWait)
-	unbind := root.Bind()
-	telemetry.Enable(col)
 
 	start := time.Now()
-	out, err := api.Run(ctx, &req, opts)
+	out, err := api.Run(telemetry.ContextWithSpan(ctx, root), &req, opts)
 	elapsed := time.Since(start)
-
-	telemetry.Disable()
-	unbind()
 
 	// Resolve the terminal state before touching any lock, so the span
 	// can carry it and the prom observations can run unlocked after.

@@ -16,22 +16,20 @@
 // never absolute), so two runs of the same sweep differ only in
 // durations. Simulation results are identical with tracing on or off.
 //
-// Instrumented code paths start spans through the process-global
-// collector (Enable/Current/StartSpan); with no collector enabled every
-// operation is a nil-safe no-op, which is the production default. Parent
-// resolution is goroutine-bound: a span Bind()s its goroutine so spans
-// started downstream on the same goroutine nest under it without
-// threading handles through APIs (the artifact cache and store cannot
-// carry a span argument without changing content addresses). Goroutines
-// that never bound anything — fresh pool workers — fall back to the
-// collector's root span (SetRoot), typically the sweep.
+// Instrumented code paths start spans through the context they run
+// under (StartSpan): a span rides its context, so work done under that
+// context — on any goroutine — nests beneath it, and the artifact cache
+// and store take the context as an argument that never enters a content
+// address. A context without a span roots its span on the process-global
+// collector (Enable/Current); with no collector enabled every operation
+// is a nil-safe no-op, which is the production default.
 package telemetry
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,11 +89,9 @@ type Collector struct {
 	trace string
 	epoch time.Time
 
-	mu    sync.Mutex
-	next  uint64            // guarded by mu; span ID counter
-	done  []Record          // guarded by mu; finished spans
-	root  string            // guarded by mu; fallback parent span ID
-	bound map[uint64]string // guarded by mu; goroutine ID -> span ID
+	mu   sync.Mutex
+	next uint64   // guarded by mu; span ID counter
+	done []Record // guarded by mu; finished spans
 }
 
 // NewCollector returns a collector for the given 32-hex trace ID; an
@@ -104,17 +100,16 @@ func NewCollector(traceID string) *Collector {
 	if traceID == "" {
 		traceID = TraceID("cisim")
 	}
-	return &Collector{trace: traceID, epoch: time.Now(), bound: map[uint64]string{}}
+	return &Collector{trace: traceID, epoch: time.Now()}
 }
 
 // Trace returns the collector's trace ID.
 func (c *Collector) Trace() string { return c.trace }
 
-// active is the process-global collector instrumented code paths start
-// spans through; nil (the default) disables tracing. Like the artifact
-// cache's sink, callers enabling it own the no-overlap discipline: the
-// CLI traces one run per process, the daemon one sweep at a time on its
-// serial dispatcher.
+// active is the process-global collector that spans started under a
+// span-less context root on; nil (the default) disables tracing. The
+// CLI enables it for one traced run per process; the daemon never does —
+// each of its sweeps carries its own collector's root in its context.
 var active atomic.Pointer[Collector]
 
 // Enable installs c as the process-global collector.
@@ -126,19 +121,39 @@ func Disable() { active.Store(nil) }
 // Current returns the process-global collector, nil when tracing is off.
 func Current() *Collector { return active.Load() }
 
-// StartSpan starts a span on the process-global collector, or returns
-// nil (every Span method is nil-safe) when tracing is off. Callers that
-// set attribute fields must guard: if sp != nil { sp.Exp = ... }.
-func StartSpan(name string) *Span {
-	if c := Current(); c != nil {
-		return c.Start(name)
+// spanKey is the context key the current span rides under.
+type spanKey struct{}
+
+// StartSpan starts a span and returns it with a context carrying it, so
+// spans started under that context nest beneath it. The parent is the
+// span ctx carries; a ctx without one starts a root on the process-global
+// collector. With tracing off it returns nil (every Span method is
+// nil-safe) and ctx unchanged. Callers that set attribute fields must
+// guard: if sp != nil { sp.Exp = ... }.
+func StartSpan(ctx context.Context, name string) (*Span, context.Context) {
+	var sp *Span
+	if parent, _ := ctx.Value(spanKey{}).(*Span); parent != nil {
+		sp = parent.c.StartWith(parent.id, name)
+	} else if c := Current(); c != nil {
+		sp = c.Start(name)
 	}
-	return nil
+	return sp, ContextWithSpan(ctx, sp)
+}
+
+// ContextWithSpan returns a context carrying sp as the parent of spans
+// started under it — for a root started directly on a collector, like
+// the daemon's serve:sweep. A nil sp returns ctx unchanged.
+func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
+	if sp == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, sp)
 }
 
 // Span is a live, unfinished span. The attribute fields may be set by
 // the owning goroutine any time before End; the handle is not safe for
-// concurrent use (the Collector behind it is).
+// concurrent use (the Collector behind it is), except that children may
+// be started under it from any goroutine.
 type Span struct {
 	Exp, Key   string
 	Kind, Addr string
@@ -157,24 +172,12 @@ type Span struct {
 	ended  bool
 }
 
-// Start begins a span whose parent is the goroutine's bound span if it
-// has one, else the collector's root.
-func (c *Collector) Start(name string) *Span {
-	g := gid()
-	c.mu.Lock()
-	parent, ok := c.bound[g]
-	if !ok {
-		parent = c.root
-	}
-	c.next++
-	id := fmt.Sprintf("%016x", c.next)
-	c.mu.Unlock()
-	return c.startWith(parent, id, name)
-}
+// Start begins a root span.
+func (c *Collector) Start(name string) *Span { return c.StartWith("", name) }
 
 // StartWith begins a span under an explicit parent span ID ("" for a
-// root) — used when the parent crossed a process boundary, like a
-// client span arriving in a traceparent header.
+// root): a context span's child, or a span whose parent crossed a
+// process boundary, like a client span arriving in a traceparent header.
 func (c *Collector) StartWith(parent, name string) *Span {
 	c.mu.Lock()
 	c.next++
@@ -218,47 +221,6 @@ func (s *Span) End() {
 	s.c.mu.Unlock()
 }
 
-// Bind makes s the parent of spans started on the calling goroutine
-// until the returned restore runs; restore reinstates the previous
-// binding. Nil-safe: a nil span returns a no-op restore.
-func (s *Span) Bind() func() {
-	if s == nil {
-		return func() {}
-	}
-	c, g := s.c, gid()
-	c.mu.Lock()
-	prev, had := c.bound[g]
-	c.bound[g] = s.id
-	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		if had {
-			c.bound[g] = prev
-		} else {
-			delete(c.bound, g)
-		}
-		c.mu.Unlock()
-	}
-}
-
-// SetRoot makes s the fallback parent for spans started on unbound
-// goroutines (fresh pool workers); the returned restore reinstates the
-// previous root. Nil collector or span is a no-op.
-func (c *Collector) SetRoot(s *Span) func() {
-	if c == nil || s == nil {
-		return func() {}
-	}
-	c.mu.Lock()
-	prev := c.root
-	c.root = s.id
-	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		c.root = prev
-		c.mu.Unlock()
-	}
-}
-
 // Records snapshots the finished spans, sorted by start time then span
 // ID so export order is deterministic regardless of End interleaving.
 func (c *Collector) Records() []Record {
@@ -292,21 +254,3 @@ func TraceID(parts ...string) string {
 func Us(d time.Duration) float64 { return round2(float64(d.Nanoseconds()) / 1e3) }
 
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
-
-// gid returns the calling goroutine's numeric ID, parsed from the
-// "goroutine N [...]" header of its stack trace. The runtime offers no
-// cheaper supported accessor; one small Stack call per span start is
-// far off the simulation hot path (spans wrap millisecond-scale work).
-func gid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for _, ch := range buf[prefix:n] {
-		if ch < '0' || ch > '9' {
-			break
-		}
-		id = id*10 + uint64(ch-'0')
-	}
-	return id
-}

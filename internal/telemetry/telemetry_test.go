@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -33,22 +34,22 @@ func TestSpanParentage(t *testing.T) {
 	if root.ID() == "" || strings.Repeat("0", 16) == root.ID() {
 		t.Fatalf("bad root span ID %q", root.ID())
 	}
-	restore := c.SetRoot(root)
+	ctx := ContextWithSpan(context.Background(), root)
 
-	// Same goroutine, explicitly bound: child nests under the binding.
-	unbind := root.Bind()
-	child := c.Start("job")
+	// A span nests under the span its context carries, and its own
+	// context parents the next level down.
+	child, cctx := StartSpan(ctx, "job")
 	child.Exp, child.Key = "fig5", "loopy"
-	grand := c.Start("stage:sim") // still bound to root, not child
+	grand, _ := StartSpan(cctx, "stage:sim")
+	sibling, _ := StartSpan(ctx, "merge") // the root's context, not the job's
 	grand.End()
+	sibling.End()
 	child.End()
-	unbind()
-	restore()
 	root.End()
 
 	recs := c.Records()
-	if len(recs) != 3 {
-		t.Fatalf("want 3 records, got %d", len(recs))
+	if len(recs) != 4 {
+		t.Fatalf("want 4 records, got %d", len(recs))
 	}
 	byName := map[string]Record{}
 	for _, r := range recs {
@@ -63,47 +64,55 @@ func TestSpanParentage(t *testing.T) {
 	if byName["job"].Parent != root.ID() {
 		t.Errorf("job parent = %q, want root %q", byName["job"].Parent, root.ID())
 	}
-	if byName["stage:sim"].Parent != root.ID() {
-		t.Errorf("stage parent = %q, want bound root %q", byName["stage:sim"].Parent, root.ID())
+	if byName["stage:sim"].Parent != child.ID() {
+		t.Errorf("stage parent = %q, want job %q", byName["stage:sim"].Parent, child.ID())
+	}
+	if byName["merge"].Parent != root.ID() {
+		t.Errorf("merge parent = %q, want root %q", byName["merge"].Parent, root.ID())
 	}
 	if byName["job"].Exp != "fig5" || byName["job"].Key != "loopy" {
 		t.Errorf("job attrs lost: %+v", byName["job"])
 	}
 }
 
-func TestBindRestoresPreviousBinding(t *testing.T) {
-	c := NewCollector("")
-	outer := c.Start("outer")
-	unbindOuter := outer.Bind()
-	inner := c.Start("inner")
-	unbindInner := inner.Bind()
-	if got := c.Start("a"); got.parent != inner.ID() {
-		t.Errorf("bound parent = %q, want inner %q", got.parent, inner.ID())
+// TestStartSpanRootsOnCurrent: a context without a span roots its span on
+// the process-global collector, and a context span outranks that
+// collector — a sweep traced on its own collector never leaks into the
+// global one.
+func TestStartSpanRootsOnCurrent(t *testing.T) {
+	global := NewCollector(TraceID("global"))
+	Enable(global)
+	defer Disable()
+	sp, ctx := StartSpan(context.Background(), "sweep")
+	if sp == nil || sp.parent != "" || sp.c != global {
+		t.Fatalf("span-less context did not root on Current: %+v", sp)
 	}
-	unbindInner()
-	if got := c.Start("b"); got.parent != outer.ID() {
-		t.Errorf("after restore parent = %q, want outer %q", got.parent, outer.ID())
+	if child, _ := StartSpan(ctx, "job"); child.parent != sp.ID() {
+		t.Errorf("child parent = %q, want %q", child.parent, sp.ID())
 	}
-	unbindOuter()
-	if got := c.Start("c"); got.parent != "" {
-		t.Errorf("after full restore parent = %q, want none", got.parent)
+
+	own := NewCollector(TraceID("own"))
+	root := own.Start("serve:sweep")
+	sweep, _ := StartSpan(ContextWithSpan(context.Background(), root), "sweep")
+	if sweep.c != own || sweep.parent != root.ID() {
+		t.Errorf("context span lost to the global collector: parent %q", sweep.parent)
 	}
 }
 
 func TestNilSafety(t *testing.T) {
 	Disable()
-	sp := StartSpan("anything") // no collector enabled
+	ctx := context.Background()
+	sp, got := StartSpan(ctx, "anything") // no collector enabled
 	if sp != nil {
 		t.Fatal("StartSpan without a collector should return nil")
 	}
-	sp.End()         // must not panic
-	restore := sp.Bind()
-	restore()
+	if got != ctx || ContextWithSpan(ctx, nil) != ctx {
+		t.Fatal("a nil span changed the context")
+	}
+	sp.End() // must not panic
 	if sp.ID() != "" {
 		t.Fatal("nil span has an ID")
 	}
-	var c *Collector
-	c.SetRoot(nil)()
 }
 
 func TestEndIdempotent(t *testing.T) {
@@ -127,13 +136,13 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		"00-" + trace + "-" + sp.ID(), // missing flags
-		"01-" + trace + "-" + sp.ID() + "-01",                            // unknown version
-		"00-" + strings.Repeat("0", 32) + "-" + sp.ID() + "-01",          // zero trace
-		"00-" + trace + "-" + strings.Repeat("0", 16) + "-01",            // zero span
-		"00-" + strings.ToUpper(trace) + "-" + sp.ID() + "-01",           // uppercase hex
-		"00-" + trace[:31] + "-" + sp.ID() + "-01",                       // short trace
-		"00-" + trace + "-" + sp.ID() + "-01-extra",                      // extra field
+		"00-" + trace + "-" + sp.ID(),         // missing flags
+		"01-" + trace + "-" + sp.ID() + "-01", // unknown version
+		"00-" + strings.Repeat("0", 32) + "-" + sp.ID() + "-01",                   // zero trace
+		"00-" + trace + "-" + strings.Repeat("0", 16) + "-01",                     // zero span
+		"00-" + strings.ToUpper(trace) + "-" + sp.ID() + "-01",                    // uppercase hex
+		"00-" + trace[:31] + "-" + sp.ID() + "-01",                                // short trace
+		"00-" + trace + "-" + sp.ID() + "-01-extra",                               // extra field
 		"00-" + strings.Replace(trace, trace[:1], "g", 1) + "-" + sp.ID() + "-01", // non-hex
 	} {
 		if _, _, ok := ParseTraceparent(bad); ok {
@@ -249,14 +258,14 @@ func TestChromeExportStructure(t *testing.T) {
 }
 
 // TestCollectorConcurrentStress is the -race stress test: many
-// goroutines starting, binding, attributing, and ending spans against
-// one collector — the shape of a parallel sweep dispatching jobs while
-// the serve dispatcher holds the root — with a concurrent Records
-// reader snapshotting mid-flight.
+// goroutines starting, attributing, and ending spans under one root
+// context — the shape of a parallel sweep dispatching jobs while the
+// serve dispatcher holds the root — with a concurrent Records reader
+// snapshotting mid-flight.
 func TestCollectorConcurrentStress(t *testing.T) {
 	c := NewCollector(TraceID("stress"))
 	root := c.Start("sweep")
-	restore := c.SetRoot(root)
+	ctx := ContextWithSpan(context.Background(), root)
 
 	const workers, perWorker = 8, 200
 	stop := make(chan struct{})
@@ -281,13 +290,11 @@ func TestCollectorConcurrentStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				job := c.Start("job")
+				job, jctx := StartSpan(ctx, "job")
 				job.Worker = w + 1
 				job.Key = fmt.Sprintf("job-%d-%d", w, i)
-				unbind := job.Bind()
-				stage := c.Start("stage:sim")
+				stage, _ := StartSpan(jctx, "stage:sim")
 				stage.End()
-				unbind()
 				job.End()
 			}
 		}(w)
@@ -295,7 +302,6 @@ func TestCollectorConcurrentStress(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	restore()
 	root.End()
 
 	recs := c.Records()
