@@ -131,7 +131,11 @@ run-all: build
 
 # profile runs a quick campaign with the observability hooks armed and
 # drops the artifacts in artifacts/: CPU + heap profiles, a Go execution
-# trace, and the run-event stream. Inspect with `go tool pprof
+# trace, and the run-event stream. It then prints the run-event summary
+# and a per-stage CPU table: the cumulative samples of each detailed-
+# machine pipeline stage (fetch, dispatch, issue, completion, recovery
+# with its stability pass, retire, golden sync) next to the two engines'
+# RunPrepared totals. Inspect further with `go tool pprof
 # artifacts/cpu.pprof` / `go tool trace artifacts/exec.trace` /
 # `go run ./cmd/cisim events artifacts/events.jsonl`.
 profile: build
@@ -140,3 +144,6 @@ profile: build
 		-cpuprofile artifacts/cpu.pprof -memprofile artifacts/mem.pprof \
 		-exectrace artifacts/exec.trace -events artifacts/events.jsonl all
 	$(GO) run ./cmd/cisim events artifacts/events.jsonl
+	$(GO) tool pprof -top -cum \
+		-show='ooo\.\(\*machine\)\.(fetchStage|dispatchStage|issueStage|completeStage|recoveryStage|computeStability|retireStage|goldSync)$$|ooo\.RunPrepared$$|ideal\.RunPrepared$$' \
+		artifacts/cpu.pprof

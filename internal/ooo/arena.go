@@ -7,10 +7,11 @@ import "sync"
 // that die with the machine (no *dyn, segment, or window buffer escapes
 // into a Result — results copy values), so a finished run can hand its
 // chunks to the next run instead of leaving tens of megabytes per run
-// for the garbage collector to zero, mark, and sweep. Chunks that carry
-// a zero-value guarantee (dyns, segments) are cleared lazily on reuse;
-// slot arrays and the live-order cache are always written before they
-// are read and skip the memclr.
+// for the garbage collector to zero, mark, and sweep. Segment chunks
+// carry a zero-value guarantee and are cleared on reuse; dyns are zeroed
+// one at a time as allocDyn hands them out, in cache just before newDyn
+// writes them; slot arrays, consumer-list nodes and the live-order cache
+// are always written before they are read and skip the memclr.
 //
 // A runMem is owned by exactly one machine between getRunMem and
 // machine.release; the pool makes concurrent sweeps safe.
@@ -26,6 +27,8 @@ type runMem struct {
 
 	liveCache []*dyn
 	liveFlags []uint8
+
+	cons []consNode
 }
 
 var memPool sync.Pool // *runMem
@@ -48,19 +51,20 @@ func (m *machine) release() {
 	m.rm = nil
 	r.liveCache = m.win.liveCache[:0]
 	r.liveFlags = m.win.liveFlags[:0]
+	r.cons = m.cons[:0]
 	r.dynNext, r.segNext, r.slotNext = 0, 0, 0
 	memPool.Put(r)
 }
 
 const dynChunkSize = 512
 
-// dynChunk returns a zeroed slab of dyns, recycling a previous run's
-// chunk when one is available.
+// dynChunk returns a slab of dyns, recycling a previous run's chunk when
+// one is available. A recycled chunk is not cleared: allocDyn zeroes each
+// dyn as it hands it out.
 func (r *runMem) dynChunk() []dyn {
 	if r.dynNext < len(r.dynChunks) {
 		c := r.dynChunks[r.dynNext]
 		r.dynNext++
-		clear(c)
 		return c
 	}
 	c := make([]dyn, dynChunkSize)

@@ -104,11 +104,22 @@ type machine struct {
 	// arena batch-allocates dyns: the simulator creates one per fetched
 	// instruction (wrong paths included), and individual heap
 	// allocations dominated the garbage collector's workload. Slots are
-	// never reused within a run, so the zero-value guarantee of a chunk
-	// from rm (fresh or cleared-on-reuse) matches a &dyn{} literal. rm
-	// owns every slab of the run and returns to the pool via release.
+	// never reused within a run; allocDyn zeroes each one as it hands it
+	// out, so a recycled chunk from rm needs no clear. rm owns every slab
+	// of the run and returns to the pool via release.
 	arena []dyn
 	rm    *runMem
+
+	// Consumer lists (incremental.go): cons is the node slab, with index
+	// 0 standing for the empty list, and consFree heads its free list.
+	cons     []consNode
+	consFree int32
+
+	// goldSync's verified prefix: gsLast is the youngest entry the sync
+	// matched to the golden stream (nil when none is kept) and gsNext the
+	// golden index after it.
+	gsLast *dyn
+	gsNext int
 
 	seq       uint64
 	cycle     int64
@@ -123,6 +134,7 @@ func (m *machine) allocDyn() *dyn {
 	}
 	d := &m.arena[0]
 	m.arena = m.arena[1:]
+	*d = dyn{}
 	return d
 }
 
@@ -199,6 +211,7 @@ func newMachine(p *prog.Program, c Config, pre *Prep) *machine {
 		fetchPC:     p.Entry,
 		fetchOn:     true,
 		win:         newWindow(c.WindowSize, c.SegmentSize, rm),
+		cons:        append(rm.cons[:0], consNode{}),
 		fetchBuf:    make([]*dyn, 0, c.Width),
 		mem:         mem.New(),
 		dcache:      cache.New(c.Cache),
@@ -271,6 +284,11 @@ func (m *machine) step() error {
 	// stage below iterates it.
 	m.win.refresh()
 	m.goldSync()
+	if m.cfg.Check {
+		if err := m.checkGoldSync(); err != nil {
+			return err
+		}
+	}
 	m.completeStage()
 	m.recoveryStage()
 	m.issueStage()
@@ -291,6 +309,9 @@ func (m *machine) step() error {
 			return err
 		}
 		if err := m.checkContinuity(); err != nil {
+			return err
+		}
+		if err := m.checkConsumers(); err != nil {
 			return err
 		}
 	}
@@ -507,6 +528,7 @@ func (m *machine) renameAtTail(d *dyn) {
 			continue
 		}
 		d.src[i] = m.tailRmap[d.srcReg[i]]
+		m.addConsumer(d.src[i], d)
 	}
 	if d.hasRd {
 		m.tailRmap[d.dest] = d
@@ -555,46 +577,30 @@ func (m *machine) rmapAt(rm *regMap, at *dyn) {
 //cisim:hot
 func (m *machine) issueStage() {
 	issued := 0
-	if cache, flags, ok := m.win.live(); ok {
-		m.win.walking++
-		// SoA fast path: a live, still-waiting instruction has flag byte
-		// state stWaiting and no dead bit, so one masked compare on the
-		// dense flag array rejects everything already executing, done, or
-		// squashed without touching the instruction itself.
-		for i, f := range flags {
-			if f&(fDead|fStMask) != uint8(stWaiting)<<fStShift {
-				continue
-			}
-			if issued >= m.cfg.Width {
-				break
-			}
-			d := cache[i]
-			if m.cycle < d.fetchC+2 || !d.ready() {
-				continue
-			}
-			if f&fIsLoad != 0 && m.cfg.ConservativeLoads && m.olderStorePending(d) {
-				continue
-			}
-			m.issue(d)
-			issued++
+	cache, flags := m.stageLive()
+	m.win.walking++
+	// SoA fast path: a live, still-waiting instruction has flag byte
+	// state stWaiting and no dead bit, so one masked compare on the
+	// dense flag array rejects everything already executing, done, or
+	// squashed without touching the instruction itself.
+	for i, f := range flags {
+		if f&(fDead|fStMask) != uint8(stWaiting)<<fStShift {
+			continue
 		}
-		m.win.walking--
-		return
-	}
-	m.win.forEach(func(d *dyn) bool {
 		if issued >= m.cfg.Width {
-			return false
+			break
 		}
-		if d.st != stWaiting || m.cycle < d.fetchC+2 || !d.ready() {
-			return true
+		d := cache[i]
+		if m.cycle < d.fetchC+2 || !d.ready() {
+			continue
 		}
-		if d.isLoad && m.cfg.ConservativeLoads && m.olderStorePending(d) {
-			return true
+		if f&fIsLoad != 0 && m.cfg.ConservativeLoads && m.olderStorePending(d) {
+			continue
 		}
 		m.issue(d)
 		issued++
-		return true
-	})
+	}
+	m.win.walking--
 }
 
 // olderStorePending reports whether any older live store has not yet
@@ -822,29 +828,20 @@ func covers(a uint64, an uint8, b uint64, bn uint8) bool {
 
 // wakeConsumers reissues instructions whose source is d (selective
 // reissue, §3.2.4: issue buffers reissue autonomously on a new value).
+// It walks d's consumer list rather than the window after d: every live
+// instruction whose source names d is on the list, and the source test
+// filters out consumers that were squashed, retired or renamed away. A
+// consumer listed twice is harmless — the second call finds it already
+// waiting, or marks it stale again.
 //
 //cisim:hot
 func (m *machine) wakeConsumers(d *dyn) {
-	if cache, flags, ok := m.win.liveAfter(d); ok {
-		m.win.walking++
-		for i, f := range flags {
-			if f&fDead != 0 {
-				continue
-			}
-			if c := cache[i]; c.src[0] == d || c.src[1] == d {
-				m.forceReissue(c)
-			}
+	for n := d.cons; n != 0; n = m.cons[n].next {
+		c := m.cons[n].c
+		if !c.squashed && !c.retired && (c.src[0] == d || c.src[1] == d) {
+			m.forceReissue(c)
 		}
-		m.win.walking--
-		return
 	}
-	m.win.forEachAfter(d, func(c *dyn) bool {
-		if c.src[0] != d && c.src[1] != d {
-			return true
-		}
-		m.forceReissue(c)
-		return true
-	})
 }
 
 // forceReissue sends a dyn back for (re)issue.
@@ -949,28 +946,24 @@ func (m *machine) recoveryStage() {
 		m.cfg.ConfidenceDelay
 	if needStable {
 		m.computeStability()
+		if m.cfg.Check {
+			m.checkStability()
+		}
 	}
 	oldestUnresolved := true
-	if cache, flags, ok := m.win.live(); ok {
-		m.win.walking++
-		// SoA fast path: only live, still-unresolved control instructions
-		// participate — resolveStep returns immediately (and leaves
-		// oldestUnresolved untouched) for everything else — so the scan
-		// filters on the dense pending-control bit and derefs branches
-		// only.
-		for i, f := range flags {
-			if f&(fDead|fPendCtl) != fPendCtl {
-				continue
-			}
-			m.resolveStep(cache[i], &oldestUnresolved)
+	cache, flags := m.stageLive()
+	m.win.walking++
+	// SoA fast path: only live, still-unresolved control instructions
+	// participate — resolveStep returns immediately (and leaves
+	// oldestUnresolved untouched) for everything else — so the scan
+	// filters on the dense pending-control bit and derefs branches only.
+	for i, f := range flags {
+		if f&(fDead|fPendCtl) != fPendCtl {
+			continue
 		}
-		m.win.walking--
-	} else {
-		m.win.forEach(func(d *dyn) bool {
-			m.resolveStep(d, &oldestUnresolved)
-			return true
-		})
+		m.resolveStep(cache[i], &oldestUnresolved)
 	}
+	m.win.walking--
 	m.serviceRecoveries()
 }
 
@@ -1004,9 +997,13 @@ func (m *machine) resolveStep(d *dyn, oldestUnresolved *bool) {
 		// misprediction is a false one.
 		ok = false
 	}
-	if ok && m.cfg.HideFalseMispredictions && d.gold >= 0 {
+	if ok && m.cfg.HideFalseMispredictions && d.gold >= 0 && !d.operandsCommitted() {
+		// Hold the branch until its operands repair. Committed operands
+		// need no repair: an outcome computed from them is the
+		// architectural one, and a disagreement means the best-effort
+		// golden mapping is stale, so holding would deadlock.
 		if m.falseOutcome(d) {
-			ok = false // hold the branch until operands repair
+			ok = false
 		}
 	}
 	if ok {
@@ -1061,24 +1058,30 @@ func (m *machine) checkResolved(d *dyn) {
 // computed from stable inputs and no older memory operation can still
 // change it. The result lives in each dyn's stableFlag.
 //
+// Only resolveStep reads the flag, and only for live, completed,
+// unresolved control instructions, so the pass stops at the youngest
+// such reader; with none in the window it does nothing. A flag depends
+// only on older entries (its producers and older stores), which the pass
+// visits first, so the flags left stale past the cutoff are recomputed
+// by any later pass that reaches a reader beyond them, before it reads.
+//
 //cisim:hot
 func (m *machine) computeStability() {
-	allOlderMemStable := true
-	if cache, flags, ok := m.win.live(); ok {
-		m.win.walking++
-		for i, f := range flags {
-			if f&fDead != 0 {
-				continue
-			}
-			m.stabilityStep(cache[i], &allOlderMemStable)
-		}
-		m.win.walking--
-		return
+	cache, flags := m.stageLive()
+	const reader = fPendCtl | uint8(stDone)<<fStShift
+	end := len(flags)
+	for end > 0 && flags[end-1]&(fDead|fPendCtl|fStMask) != reader {
+		end--
 	}
-	m.win.forEach(func(d *dyn) bool {
-		m.stabilityStep(d, &allOlderMemStable)
-		return true
-	})
+	allOlderMemStable := true
+	m.win.walking++
+	for i, f := range flags[:end] {
+		if f&fDead != 0 {
+			continue
+		}
+		m.stabilityStep(cache[i], &allOlderMemStable)
+	}
+	m.win.walking--
 }
 
 // stabilityStep computes one instruction's stability flag during the
@@ -1264,11 +1267,16 @@ func (m *machine) commit(d *dyn) {
 		}
 	}
 	m.win.retire(d)
+	m.releaseConsumers(d)
 
 	if d.inst.Op == isa.HALT || m.retireCur >= m.golden.n {
 		m.done = true
 	}
 }
+
+// goldSyncLimit bounds how many window entries goldSync maps per cycle,
+// counted from the retire point.
+const goldSyncLimit = 256
 
 // goldSync propagates golden-stream indexes through the window prefix
 // that provably lies on the architectural path: starting at the retire
@@ -1278,58 +1286,54 @@ func (m *machine) commit(d *dyn) {
 // accurate window" of §A.3.1, which the oracle features (HFM, CI-OR,
 // oracle history) consult; like the paper's, it is best-effort.
 //
+// The sync resumes after the prefix it verified last cycle (gsLast,
+// gsNext) instead of walking it again. A verified entry would pass again
+// unchanged: its pc, its golden index and the golden stream never change;
+// its assumed target changes only in a recovery redirect; window order
+// before the frontier changes only by squash or restart insertion; and
+// retirement removes only verified head entries. Each of those drops the
+// prefix (dropGoldPrefix) or, for retirement past its end, leaves gsLast
+// retired, and the sync starts again from the head.
+//
 //cisim:hot
 func (m *machine) goldSync() {
-	g := m.retireCur
-	limit := 256
-	if cache, flags, ok := m.win.live(); ok {
-		m.win.walking++
-		defer func() { m.win.walking-- }()
-		for i, f := range flags {
-			if f&fDead != 0 {
-				continue
-			}
-			d := cache[i]
-			if g >= m.golden.n || limit == 0 {
-				return
-			}
-			limit--
-			gd := m.golden.at(g)
-			if d.pc != gd.pc {
-				return
-			}
-			if d.gold < 0 {
-				d.gold = g
-			} else if d.gold != g {
-				return
-			}
-			// Continue only while the window's assumed path follows the
-			// golden path.
-			if d.assumedTarget != gd.nextPC {
-				return
-			}
-			g++
-		}
-		return
+	cache, flags := m.stageLive()
+	last, from, g := m.gsLast, 0, m.retireCur
+	if last != nil && !last.retired {
+		from, g = m.win.cacheIndex(m.win.liveCache, last)-m.win.lo+1, m.gsNext
+	} else {
+		last = nil
 	}
-	for d := m.win.headLive(); d != nil && g < m.golden.n && limit > 0; d = m.win.nextLive(d, false) {
+	limit := goldSyncLimit - (g - m.retireCur)
+	m.win.walking++
+	for i := from; i < len(flags); i++ {
+		if flags[i]&fDead != 0 {
+			continue
+		}
+		d := cache[i]
+		if g >= m.golden.n || limit == 0 {
+			break
+		}
 		limit--
 		gd := m.golden.at(g)
 		if d.pc != gd.pc {
-			return
+			break
 		}
 		if d.gold < 0 {
 			d.gold = g
 		} else if d.gold != g {
-			return
+			break
 		}
 		// Continue only while the window's assumed path follows the
 		// golden path.
 		if d.assumedTarget != gd.nextPC {
-			return
+			break
 		}
 		g++
+		last = d
 	}
+	m.win.walking--
+	m.gsLast, m.gsNext = last, g
 }
 
 // stuckReport summarizes machine state for deadlock diagnostics.

@@ -231,6 +231,7 @@ func (m *machine) beginRecoveryInner(pr pendingRec) {
 	// stand silently.
 	d.assumedTaken = pr.taken
 	d.assumedTarget = pr.target
+	m.dropGoldPrefix(d)
 	if pr.repred && d.ctlDone && d.st == stDone && !d.stale {
 		m.checkResolved(d)
 	}
@@ -270,7 +271,6 @@ func (m *machine) beginRecoveryInner(pr pendingRec) {
 			squashedStores = append(squashedStores, c)
 		}
 		m.countWrongPath(c)
-		m.dropFromEvents(c)
 		m.squashDyn(c)
 		removed++
 		return true
@@ -283,7 +283,6 @@ func (m *machine) beginRecoveryInner(pr pendingRec) {
 			squashedStores = append(squashedStores, nr)
 		}
 		m.countWrongPath(nr)
-		m.dropFromEvents(nr)
 		m.squashDyn(nr)
 		removed++
 		nr = next
@@ -408,7 +407,6 @@ func (m *machine) fullSquash(d *dyn) {
 	m.stats.FullSquashes++
 	m.win.forEachAfter(d, func(c *dyn) bool {
 		m.countWrongPath(c)
-		m.dropFromEvents(c)
 		m.squashDyn(c)
 		return true
 	})
@@ -449,11 +447,6 @@ func (m *machine) countWrongPath(c *dyn) {
 		m.recordSquashedPipe(c)
 	}
 }
-
-// dropFromEvents makes a squashed dyn's scheduled completion inert. The
-// completion loop checks the squashed flag, so nothing to do here; the
-// hook exists for symmetry and future accounting.
-func (m *machine) dropFromEvents(c *dyn) {}
 
 // dropFetchBuf discards fetched-but-undispatched instructions (they are
 // logically younger than any recovery point).
@@ -568,16 +561,9 @@ func (m *machine) continueRestart() {
 			m.countWrongPath(tail)
 			m.squashDyn(tail)
 		}
-		d := m.newDynAt(act.fetchPC, in, act)
-		seg := m.win.insertAfter(act.lastIns, act.fillSeg, d)
-		if seg == nil {
+		if !m.fillGap(act, m.newDynAt(act.fetchPC, in, act)) {
 			return // could not place this cycle; retry next
 		}
-		act.fillSeg = seg
-		act.lastIns = d
-		act.insert++
-		m.renameWith(d, &act.rmap)
-		act.fetchPC = d.assumedTarget
 		if in.Op == isa.HALT {
 			// The correct path exits before reconverging: anything
 			// preserved beyond this point is architecturally
@@ -663,21 +649,31 @@ func (m *machine) continueSearchRestart() {
 			m.countWrongPath(tail)
 			m.squashDyn(tail)
 		}
-		d := m.newDynAt(act.fetchPC, in, act)
-		seg := m.win.insertAfter(act.lastIns, act.fillSeg, d)
-		if seg == nil {
+		if !m.fillGap(act, m.newDynAt(act.fetchPC, in, act)) {
 			return
 		}
-		act.fillSeg = seg
-		act.lastIns = d
-		act.insert++
-		m.renameWith(d, &act.rmap)
-		act.fetchPC = d.assumedTarget
 		if in.Op == isa.HALT {
 			m.convertSearchToPlain(true)
 			return
 		}
 	}
+}
+
+// fillGap inserts a restart-fetched instruction after the restart's last
+// insertion and renames it from the restart's map. It returns false when
+// no segment is free this cycle; the instruction is then dropped.
+func (m *machine) fillGap(act *restartSeq, d *dyn) bool {
+	seg := m.win.insertAfter(act.lastIns, act.fillSeg, d)
+	if seg == nil {
+		return false
+	}
+	m.dropGoldPrefix(d)
+	act.fillSeg = seg
+	act.lastIns = d
+	act.insert++
+	m.renameWith(d, &act.rmap)
+	act.fetchPC = d.assumedTarget
+	return true
 }
 
 // reissueLoadsAfterStoreSquash reissues every live load after from whose
@@ -814,18 +810,13 @@ func (m *machine) newDynAt(pc uint64, in isa.Inst, act *restartSeq) *dyn {
 }
 
 func (m *machine) renameWith(d *dyn, rmap *regMap) {
-	changed := false
 	for i := 0; i < d.nsrc; i++ {
 		if d.srcReg[i] == isa.RZero {
 			continue
 		}
-		p := rmap[d.srcReg[i]]
-		if d.src[i] != p {
-			d.src[i] = p
-			changed = true
-		}
+		d.src[i] = rmap[d.srcReg[i]]
+		m.addConsumer(d.src[i], d)
 	}
-	_ = changed
 	if d.hasRd {
 		rmap[d.dest] = d
 	}
@@ -974,6 +965,7 @@ func (m *machine) continueWalk() {
 			p := rd.rmap[d.srcReg[i]]
 			if d.src[i] != p {
 				d.src[i] = p
+				m.addConsumer(p, d)
 				changed = true
 			} else if p == nil && d.issues > 0 && m.regCommitC[d.srcReg[i]] > d.lastIssueC {
 				changed = true

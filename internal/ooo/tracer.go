@@ -40,12 +40,18 @@ type Tracer interface {
 // squashDyn squashes one window entry, notifying the tracer first. The
 // window's squash is idempotent and recovery paths can revisit entries,
 // so the guard mirrors window.squash's: exactly one terminal trace event
-// per instruction.
+// per instruction. The entry also leaves goldSync's verified prefix and
+// releases its consumer list.
 func (m *machine) squashDyn(c *dyn) {
-	if m.trc != nil && !c.squashed && !c.retired {
+	if c.squashed || c.retired {
+		return
+	}
+	if m.trc != nil {
 		m.trc.TraceSquash(c.seq, m.cycle)
 	}
+	m.dropGoldPrefix(c)
 	m.win.squash(c)
+	m.releaseConsumers(c)
 }
 
 // traceRec accumulates one in-flight instruction's stage cycles inside

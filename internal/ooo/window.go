@@ -72,6 +72,10 @@ type dyn struct {
 	retired  bool
 	liveIdx  int32 // index in the window's live-order cache; see refresh
 
+	// cons heads the list of instructions that named this one as a source
+	// (incremental.go); 0 when empty.
+	cons int32
+
 	// Table 3 accounting: saved records whether this instruction was
 	// preserved across a recovery, and in what state.
 	saved         savedState
@@ -88,6 +92,17 @@ const (
 
 func (d *dyn) String() string {
 	return fmt.Sprintf("#%d pc=%#x %v", d.seq, d.pc, d.inst)
+}
+
+// operandsCommitted reports whether every register source other than r0
+// comes from a retired producer, so its value is architectural.
+func (d *dyn) operandsCommitted() bool {
+	for i := 0; i < d.nsrc; i++ {
+		if p := d.src[i]; d.srcReg[i] != isa.RZero && (p == nil || !p.retired) {
+			return false
+		}
+	}
+	return true
 }
 
 // ready reports whether every source value is available.
@@ -149,16 +164,18 @@ type window struct {
 	rm        *runMem
 
 	// The live-order cache is the in-order snapshot of the window that
-	// the per-cycle walks (forEach, forEachAfter, the goldSync and rename
-	// chains) iterate instead of chasing segment links slot by slot —
-	// with the default SegmentSize of 1 a segment walk is a pointer chase
-	// per instruction, and the walks dominated the simulator's CPU
-	// profile. It is struct-of-arrays: liveCache holds the *dyn in window
-	// order, and liveFlags mirrors, entry for entry, the byte of state
-	// the hot filters test (dead, pipeline state, pending control,
-	// load/store, address validity) — so the issue, resolve, stability,
-	// wake, store-forward and goldSync scans reject the common case from
-	// a dense byte array without dereferencing the instruction at all.
+	// the per-cycle walks (forEach, forEachAfter, the rename chains)
+	// iterate instead of chasing segment links slot by slot — with the
+	// default SegmentSize of 1 a segment walk is a pointer chase per
+	// instruction, and the walks dominated the simulator's CPU profile.
+	// It is struct-of-arrays: liveCache holds the *dyn in window order,
+	// and liveFlags mirrors, entry for entry, the byte of state the hot
+	// filters test (dead, pipeline state, pending control, load/store,
+	// address validity) — so the issue, resolve, stability and
+	// store-forward scans reject the common case from a dense byte array
+	// without dereferencing the instruction at all, and goldSync resumes
+	// its walk at a cache index. (Wakeup walks consumer lists instead; see
+	// incremental.go.)
 	// The flag byte is re-mirrored by noteFlags at every state
 	// transition; all transition sites funnel through a handful of
 	// machine methods (issue, complete, forceReissue, reissueLoad,
@@ -243,7 +260,7 @@ func newWindow(size, segSize int, rm *runMem) *window {
 	}
 }
 
-// full reports whether a new segment cannot be allocated.
+// segsAvailable reports how many more segments can be allocated.
 func (w *window) segsAvailable() int { return w.maxSegs - w.liveSegs }
 
 func (w *window) newSegment() *segment {
@@ -434,9 +451,10 @@ func (w *window) compact() {
 // callers must skip by the dead flag, exactly as forEach does) for
 // direct, inlinable iteration by the hot per-cycle stages: flags[i] is
 // the filter byte of ptr[i]. ok is false only when the cache is dirty
-// inside an ongoing walk; the caller then takes the forEach path.
-// Callers bracket their loop with walking++/-- and must not append or
-// insert, the same contract forEach imposes on its callbacks.
+// inside an ongoing walk, which the stages, running outside any walk,
+// never are (machine.stageLive). Callers bracket their loop with
+// walking++/-- and must not append or insert, the same contract forEach
+// imposes on its callbacks.
 func (w *window) live() (ptr []*dyn, flags []uint8, ok bool) {
 	cache, ok := w.refresh()
 	if !ok {
