@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint checkprog race faults schema perfbench-check serve-smoke cache-smoke metrics-smoke check bench bench-baseline benchdiff run-all profile clean
+.PHONY: all build test vet fmt-check lint checkprog race faults schema perfbench-check serve-smoke cache-smoke metrics-smoke check bench bench-baseline benchdiff run-all profile clean
 
 # The headline benchmarks gated by BENCH_10.json (see bench-baseline and
 # benchdiff below). BenchmarkTraceGeneration's regex also matches the
@@ -22,6 +22,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would change any Go file in the tree,
+# perfbench/ included: go vet and the analyzers do not check layout.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 # lint runs the repo's custom analyzers (internal/lint): cache-key field
 # coverage (keycover), deterministic map iteration (detrange), simulator
@@ -100,12 +105,12 @@ cache-smoke:
 metrics-smoke:
 	./scripts/metrics_smoke.sh
 
-# check is the CI gate: build, vet, the custom analyzers, the workload
-# verifier, full tests, the race pass, the fault matrix, the schema
-# golden tests, the benchmark module's vet and self-test, and the
-# process-boundary smoke tests (serve daemon, persistent store,
-# observability surface).
-check: build vet lint checkprog test race faults schema perfbench-check serve-smoke cache-smoke metrics-smoke
+# check is the CI gate: build, vet, the format check, the custom
+# analyzers, the workload verifier, full tests, the race pass, the fault
+# matrix, the schema golden tests, the benchmark module's vet and
+# self-test, and the process-boundary smoke tests (serve daemon,
+# persistent store, observability surface).
+check: build vet fmt-check lint checkprog test race faults schema perfbench-check serve-smoke cache-smoke metrics-smoke
 
 bench:
 	$(GO) test -bench='BenchmarkRunAllQuick|BenchmarkWindowCacheIterate|BenchmarkTraceGenerationBatched' -benchtime=1x -run=^$$ $(BENCHPKGS)

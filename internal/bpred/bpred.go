@@ -131,7 +131,9 @@ func (t *TargetBuffer) Update(pc uint64, h History, target uint64) {
 // allocates one node, Pop moves the top pointer, and Snapshot/Restore
 // are O(1) pointer copies. The detailed simulator checkpoints the RAS at
 // every fetched control instruction, so cheap snapshots matter far more
-// than the pointer chase a deep Restore-then-Pop might cost.
+// than the pointer chase a deep Restore-then-Pop might cost. The zero
+// value is an empty stack, and because nodes are never mutated, copying
+// a RAS value copies the stack.
 type RAS struct {
 	top   *rasNode
 	depth int
@@ -148,9 +150,6 @@ type Snap struct {
 	top   *rasNode
 	depth int
 }
-
-// NewRAS returns an empty return address stack.
-func NewRAS() *RAS { return &RAS{} }
 
 // Push records a return address at a call.
 func (r *RAS) Push(addr uint64) {

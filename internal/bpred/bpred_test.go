@@ -102,7 +102,7 @@ func TestTargetBuffer(t *testing.T) {
 }
 
 func TestRAS(t *testing.T) {
-	r := NewRAS()
+	r := &RAS{}
 	if _, ok := r.Pop(); ok {
 		t.Error("empty RAS should underflow")
 	}
@@ -131,7 +131,7 @@ func TestRAS(t *testing.T) {
 func TestRASStackProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f := func() bool {
-		r := NewRAS()
+		r := &RAS{}
 		var model []uint64
 		var snap Snap
 		var hasSnap bool

@@ -274,13 +274,10 @@ type Config struct {
 	Check bool
 
 	// Tracer, when set, observes every dynamic instruction's pipeline
-	// stage transitions (see the Tracer interface in tracer.go). Like
-	// Debug, it is an observation hook with side effects outside the
-	// Result, so traced runs are never memoized.
+	// stage transitions (see the Tracer interface in tracer.go). It is an
+	// observation hook with side effects outside the Result, so traced
+	// runs are never memoized.
 	Tracer Tracer
-
-	// Debug, when set, receives internal event messages (tests only).
-	Debug func(format string, args ...interface{})
 
 	// hookRecovery, when set, observes each serviced recovery (tests).
 	hookRecovery func(m *machine, pr pendingRec)
@@ -320,7 +317,7 @@ func (c *Config) defaults() {
 // that run identically produce the same key (e.g. SegmentSize 0 and 1, or
 // an unset Reconv and an explicit PostDom on a CI machine). The second
 // return is false when the configuration carries observation hooks
-// (Debug, recovery hooks) whose side effects make a cached result
+// (Tracer, recovery hooks) whose side effects make a cached result
 // unfaithful; such runs must not be memoized.
 //
 // The encoding is spelled out field by field rather than dumped with
@@ -329,7 +326,7 @@ func (c *Config) defaults() {
 // field participates: a field missing here would make the artifact cache
 // (internal/runner) serve one field-variant's result for another's.
 func (c Config) Key() (string, bool) {
-	if c.Debug != nil || c.hookRecovery != nil || c.Tracer != nil {
+	if c.hookRecovery != nil || c.Tracer != nil {
 		return "", false
 	}
 	d := c

@@ -41,15 +41,12 @@ type machine struct {
 	golden *goldStream
 
 	// Predictors and front-end state.
-	gsh       *bpred.GShare
-	bim       *bpred.Bimodal
-	ctb       *bpred.TargetBuffer
-	conf      *bpred.Confidence
-	ras       *bpred.RAS
-	fetchHist bpred.History
-	fetchPC   uint64
-	fetchOn   bool // false once HALT (or garbage) is fetched, until recovery
-	goldCur   int  // golden index fetch believes it is at; -1 on a wrong path
+	gsh     *bpred.GShare
+	bim     *bpred.Bimodal
+	ctb     *bpred.TargetBuffer
+	conf    *bpred.Confidence
+	fetch   fetchCtx // sequential fetch's context (recovery.go)
+	fetchOn bool     // false once HALT (or garbage) is fetched, until recovery
 
 	fetchBuf []*dyn // fetched this cycle, dispatched next; reused in place
 
@@ -138,12 +135,6 @@ func (m *machine) allocDyn() *dyn {
 	return d
 }
 
-func (m *machine) debugf(format string, args ...interface{}) {
-	if m.cfg.Debug != nil {
-		m.cfg.Debug("[c%d] "+format, append([]interface{}{m.cycle}, args...)...)
-	}
-}
-
 // ErrDeadlock reports a hung simulation (an engine bug, surfaced rather
 // than spun on).
 var ErrDeadlock = errors.New("ooo: cycle limit exceeded")
@@ -207,8 +198,7 @@ func newMachine(p *prog.Program, c Config, pre *Prep) *machine {
 		bim:         bpred.NewBimodal(c.GShareBits),
 		ctb:         bpred.NewTargetBuffer(c.TargetBits),
 		conf:        bpred.NewConfidence(c.GShareBits, 15, 8),
-		ras:         bpred.NewRAS(),
-		fetchPC:     p.Entry,
+		fetch:       fetchCtx{pc: p.Entry},
 		fetchOn:     true,
 		win:         newWindow(c.WindowSize, c.SegmentSize, rm),
 		cons:        append(rm.cons[:0], consNode{}),
@@ -338,7 +328,7 @@ func (m *machine) fetchStage() {
 		if !m.fetchOn {
 			return
 		}
-		in, ok := m.p.InstAt(m.fetchPC)
+		in, ok := m.p.InstAt(m.fetch.pc)
 		if !ok {
 			// Garbage target on a wrong path: fetch stalls until a
 			// recovery redirects it.
@@ -346,7 +336,7 @@ func (m *machine) fetchStage() {
 			return
 		}
 		if m.icache != nil {
-			lat := m.icache.Access(m.fetchPC)
+			lat := m.icache.Access(m.fetch.pc)
 			if lat > m.cfg.ICache.HitLat {
 				// Line fill: this instruction arrives after the miss
 				// latency; the group ends here.
@@ -354,10 +344,9 @@ func (m *machine) fetchStage() {
 				return
 			}
 		}
-		d := m.newDyn(m.fetchPC, in)
-		m.predict(d)
+		d := m.newDyn(&m.fetch, in)
 		m.fetchBuf = append(m.fetchBuf, d)
-		m.fetchPC = d.assumedTarget
+		m.fetch.pc = d.assumedTarget
 		if in.Op == isa.HALT {
 			m.fetchOn = false
 		}
@@ -369,13 +358,16 @@ func (m *machine) fetchStage() {
 	}
 }
 
-func (m *machine) newDyn(pc uint64, in isa.Inst) *dyn {
+// newDyn creates the dyn for instruction in, fetched at fc's PC, and
+// predicts it along fc. The caller advances fc's PC once it keeps the
+// instruction.
+func (m *machine) newDyn(fc *fetchCtx, in isa.Inst) *dyn {
 	m.seq++
 	d := m.allocDyn()
-	d.seq, d.pc, d.inst, d.gold = m.seq, pc, in, -1
+	d.seq, d.pc, d.inst, d.gold = m.seq, fc.pc, in, -1
 	d.fetchC, d.doneC = m.cycle, -1
-	if m.goldCur >= 0 && m.goldCur < m.golden.n && m.golden.at(m.goldCur).pc == pc {
-		d.gold = m.goldCur
+	if fc.gold >= 0 && fc.gold < m.golden.n && m.golden.at(fc.gold).pc == fc.pc {
+		d.gold = fc.gold
 	}
 	srcs := in.SrcRegs()
 	d.nsrc = len(srcs)
@@ -400,21 +392,23 @@ func (m *machine) newDyn(pc uint64, in isa.Inst) *dyn {
 		}
 	}
 	if m.trc != nil {
-		m.trc.TraceFetch(d.seq, pc, in, m.cycle)
+		m.trc.TraceFetch(d.seq, d.pc, in, m.cycle)
 	}
+	m.predict(fc, d)
 	return d
 }
 
 // predict sets the dyn's assumed next PC, consulting the predictors for
-// control instructions, and advances the fetch-side golden cursor.
-func (m *machine) predict(d *dyn) {
+// control instructions, and advances fc's history, RAS and golden cursor
+// along the prediction.
+func (m *machine) predict(fc *fetchCtx, d *dyn) {
 	in := d.inst
-	d.histBefore = m.fetchHist
+	d.histBefore = fc.hist
 	next := d.pc + 4
 	switch isa.ClassOf(in.Op) {
 	case isa.ClassCondBr:
 		d.isCtl, d.isCond = true, true
-		hist := m.fetchHist
+		hist := fc.hist
 		if m.cfg.OracleGlobalHistory && d.gold >= 0 {
 			hist = m.golden.at(d.gold).hist
 		}
@@ -423,8 +417,8 @@ func (m *machine) predict(d *dyn) {
 		if d.predTaken {
 			next = in.BranchTarget(d.pc)
 		}
-		m.fetchHist = m.fetchHist.Push(d.predTaken)
-		d.rasSnap = m.ras.Snapshot()
+		fc.hist = fc.hist.Push(d.predTaken)
+		d.rasSnap = fc.ras.Snapshot()
 		if m.cfg.Reconv.Loop && cfg.IsBackwardBranch(in) {
 			// The loop heuristic records the predicted target of a
 			// backward branch as a candidate reconvergent point (§A.5.2).
@@ -433,21 +427,21 @@ func (m *machine) predict(d *dyn) {
 	case isa.ClassJump:
 		next = in.Target
 	case isa.ClassCall:
-		m.ras.Push(d.pc + 4)
+		fc.ras.Push(d.pc + 4)
 		next = in.Target
 	case isa.ClassIndJump, isa.ClassIndCall:
 		d.isCtl = true
-		if t, ok := m.ctb.Predict(d.pc, m.fetchHist); ok {
+		if t, ok := m.ctb.Predict(d.pc, fc.hist); ok {
 			next = t
 		}
 		if isa.ClassOf(in.Op) == isa.ClassIndCall {
-			m.ras.Push(d.pc + 4)
+			fc.ras.Push(d.pc + 4)
 		}
-		d.rasSnap = m.ras.Snapshot()
+		d.rasSnap = fc.ras.Snapshot()
 	case isa.ClassReturn:
 		d.isCtl = true
-		d.rasSnap = m.ras.Snapshot()
-		if t, ok := m.ras.Pop(); ok {
+		d.rasSnap = fc.ras.Snapshot()
+		if t, ok := fc.ras.Pop(); ok {
 			next = t
 		}
 		if m.cfg.Reconv.Return {
@@ -457,11 +451,11 @@ func (m *machine) predict(d *dyn) {
 	d.assumedTarget = next
 	// Advance the golden cursor along the predicted path: it stays valid
 	// only while the prediction matches the architectural path.
-	if d.gold >= 0 && m.goldCur == d.gold {
+	if d.gold >= 0 && fc.gold == d.gold {
 		if next == m.golden.at(d.gold).nextPC {
-			m.goldCur = d.gold + 1
+			fc.gold = d.gold + 1
 		} else {
-			m.goldCur = -1
+			fc.gold = -1
 		}
 	}
 }
@@ -544,14 +538,7 @@ func (m *machine) renameAtTail(d *dyn) {
 // rebuildTailRmap reconstructs the tail rename map by walking the window
 // backward, used after squashes that invalidate the incremental map.
 func (m *machine) rebuildTailRmap() {
-	m.tailRmap = regMap{}
-	found := 0
-	for d := m.win.tailLive(); d != nil && found < isa.NumRegs; d = m.win.prevLive(d, false) {
-		if d.hasRd && m.tailRmap[d.dest] == nil {
-			m.tailRmap[d.dest] = d
-			found++
-		}
-	}
+	m.rmapAt(&m.tailRmap, m.win.tailLive())
 	if m.shadow != nil {
 		m.shadow.rebuildTailRmap(m)
 	}
@@ -615,9 +602,6 @@ func (m *machine) olderStorePending(d *dyn) bool {
 }
 
 func (m *machine) issue(d *dyn) {
-	if m.cfg.Debug != nil {
-		m.debugf("issue %v src0=%v src1=%v", d, d.src[0], d.src[1])
-	}
 	d.st = stExecuting
 	d.lastIssueC = m.cycle
 	d.stale = false
@@ -732,9 +716,6 @@ func (m *machine) complete(d *dyn) {
 	m.win.noteFlags(d)
 	if m.trc != nil {
 		m.trc.TraceComplete(d.seq, m.cycle)
-	}
-	if m.cfg.Debug != nil {
-		m.debugf("complete %v val=%#x", d, d.val)
 	}
 
 	if d.hasRd && (!had || old != d.val) {
@@ -1042,7 +1023,6 @@ func (m *machine) checkResolved(d *dyn) {
 	if !mismatch {
 		return
 	}
-	m.debugf("pending %v comp=%v assumed=%v", d, d.compTaken, d.assumedTaken)
 	for i, p := range m.pendingRecs {
 		if p.d == d {
 			// Refresh the desired outcome.
@@ -1125,7 +1105,7 @@ func (m *machine) retireStage() {
 		// repair) has not reached them yet. Gates anchor on the (always
 		// live) reconvergent points: positions of retired instructions
 		// go stale across renumbering.
-		if m.active != nil && (m.active.search || d.pos >= m.active.reconv.pos) {
+		if m.active != nil && (m.active.reconv == nil || d.pos >= m.active.reconv.pos) {
 			return
 		}
 		for _, s := range m.suspended {
@@ -1162,16 +1142,6 @@ func (m *machine) retireStage() {
 					m.checkResolved(d)
 				}
 				return
-			}
-		}
-		if m.cfg.Debug != nil && m.retireCur < m.golden.n && d.pc != m.golden.at(m.retireCur).pc {
-			m.debugf("about to mis-retire %v pos=%d: active=%v suspended=%d redisp=%v pending=%d",
-				d, d.pos, m.active != nil, len(m.suspended), m.redisp != nil, len(m.pendingRecs))
-			if m.active != nil {
-				m.debugf("  active branch=%v pos=%d lastIns=%v pos=%d", m.active.branch, m.active.branch.pos, m.active.lastIns, m.active.lastIns.pos)
-			}
-			for _, s := range m.suspended {
-				m.debugf("  susp branch=%v lastIns=%v pos=%d", s.branch, s.lastIns, s.lastIns.pos)
 			}
 		}
 		m.commit(d)
@@ -1211,9 +1181,6 @@ func (m *machine) commit(d *dyn) {
 			d, d.compTarget, g.nextPC, m.retireCur))
 	}
 
-	if m.cfg.Debug != nil {
-		m.debugf("commit %v val=%#x gold=%d", d, d.val, m.retireCur)
-	}
 	if d.hasRd {
 		m.regs[d.dest] = d.val
 		m.regCommitC[d.dest] = m.cycle

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -53,9 +54,9 @@ type timingProgram struct {
 	short     bool
 }
 
-// timingPrograms lists the golden set: the five workloads at the quick
-// scale's iteration count, cut at 20k retired instructions, and ten
-// progen programs run to completion.
+// timingPrograms lists the programs of the golden set's grid: the five
+// workloads at the quick scale's iteration count, cut at 20k retired
+// instructions, and ten progen programs run to completion.
 func timingPrograms() []timingProgram {
 	var ps []timingProgram
 	for i, w := range workloads.All() {
@@ -130,6 +131,39 @@ func timingConfigs(windows [2]int) []timingConfig {
 	return cs
 }
 
+// comboRows is the number of combination rows in the golden set;
+// comboShort of them run under -short.
+const comboRows, comboShort = 200, 4
+
+// timingCombo is one combination row of the golden set: a progen seed
+// and a configuration drawn through fuzzConfig, labelled with its
+// fuzzConfig inputs so a failing row can be rerun as a fuzz input.
+type timingCombo struct {
+	seed int64
+	timingConfig
+}
+
+// timingCombos draws the combination rows from a fixed RNG. Where the
+// single-knob rows vary one mechanism on CI, these reach knob
+// combinations on every machine: the associative search under CI-I and
+// simple preemption, multi-instruction segments, narrow windows and
+// widths.
+func timingCombos() []timingCombo {
+	r := rand.New(rand.NewSource(1))
+	cs := make([]timingCombo, comboRows)
+	for i := range cs {
+		seed := r.Int63n(1 << 20)
+		machine, window, width := uint8(r.Intn(1<<8)), uint16(r.Intn(1<<16)), uint8(r.Intn(1<<8))
+		segment, completion, knobs := uint8(r.Intn(1<<8)), uint8(r.Intn(1<<8)), uint16(r.Intn(1<<12))
+		cs[i] = timingCombo{seed, timingConfig{
+			fmt.Sprintf("fuzzConfig(machine=%d,window=%d,width=%d,segment=%d,completion=%d,knobs=%#x)",
+				machine, window, width, segment, completion, knobs),
+			fuzzConfig(machine, window, width, segment, completion, knobs),
+		}}
+	}
+	return cs
+}
+
 // mispDigest hashes every misprediction event's PC, history and false
 // flag.
 func mispDigest(evs []MispEvent) string {
@@ -197,6 +231,37 @@ func TestGoldenTiming(t *testing.T) {
 		}
 	}
 	var got []timingRow
+	check := func(program string, p *prog.Program, pre *Prep, label string, c Config) {
+		t.Helper()
+		c.MaxInstrs = pre.maxInstrs
+		c.RecordMisps, c.RecordPipeline, c.RecordSquashed = true, true, true
+		c.PipelineLimit = timingPipeLimit
+		row := timingRow{Program: program, Config: label}
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("%s: golden check panic: %v", row.name(), r)
+			}
+		}()
+		r, err := RunPrepared(p, c, pre)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name(), err)
+		}
+		if len(r.Pipeline) >= timingPipeLimit {
+			t.Fatalf("%s: %d pipeline records reach the recording cap", row.name(), len(r.Pipeline))
+		}
+		row.Stats, row.Misps, row.Pipe = r.Stats, mispDigest(r.MispEvents), pipeDigest(r.Pipeline)
+		got = append(got, row)
+		if *update {
+			return
+		}
+		w, ok := pinned[row.name()]
+		if !ok {
+			t.Fatalf("%s: not in %s (regenerate with -update)", row.name(), timingFile)
+		}
+		if field, gv, wv := firstRowDiff(row, w); field != "" {
+			t.Fatalf("%s: %s = %v, golden %v", row.name(), field, gv, wv)
+		}
+	}
 	for _, tp := range timingPrograms() {
 		if testing.Short() && !tp.short {
 			continue
@@ -207,31 +272,20 @@ func TestGoldenTiming(t *testing.T) {
 			t.Fatalf("%s: %v", tp.name, err)
 		}
 		for _, tc := range timingConfigs(tp.windows) {
-			c := tc.cfg
-			c.MaxInstrs = tp.maxInstrs
-			c.RecordMisps, c.RecordPipeline, c.RecordSquashed = true, true, true
-			c.PipelineLimit = timingPipeLimit
-			row := timingRow{Program: tp.name, Config: tc.label}
-			r, err := RunPrepared(p, c, pre)
-			if err != nil {
-				t.Fatalf("%s: %v", row.name(), err)
-			}
-			if len(r.Pipeline) >= timingPipeLimit {
-				t.Fatalf("%s: %d pipeline records reach the recording cap", row.name(), len(r.Pipeline))
-			}
-			row.Stats, row.Misps, row.Pipe = r.Stats, mispDigest(r.MispEvents), pipeDigest(r.Pipeline)
-			got = append(got, row)
-			if *update {
-				continue
-			}
-			w, ok := pinned[row.name()]
-			if !ok {
-				t.Fatalf("%s: not in %s (regenerate with -update)", row.name(), timingFile)
-			}
-			if field, gv, wv := firstRowDiff(row, w); field != "" {
-				t.Fatalf("%s: %s = %v, golden %v", row.name(), field, gv, wv)
-			}
+			check(tp.name, p, pre, tc.label, tc.cfg)
 		}
+	}
+	for i, tc := range timingCombos() {
+		if testing.Short() && i >= comboShort {
+			break
+		}
+		name := fmt.Sprintf("progen-%d", tc.seed)
+		p := progen.Generate(tc.seed, progen.Config{})
+		pre, err := Prepare(p, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check(name, p, pre, tc.label, tc.cfg)
 	}
 	if !*update {
 		if !testing.Short() && len(got) != len(pinned) {

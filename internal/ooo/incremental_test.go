@@ -20,9 +20,9 @@ func TestGoldPrefixDrops(t *testing.T) {
 	}{
 		{"squash", func(m *machine, e *dyn) { m.squashDyn(e) }},
 		{"insert", func(m *machine, e *dyn) {
-			act := &restartSeq{lastIns: e, goldCur: -1}
+			act := &restartSeq{fetchCtx: fetchCtx{pc: e.pc + 4096, gold: -1}, lastIns: e}
 			in := isa.Inst{Op: isa.ADDI, Rd: 1, Rs1: 1, Imm: 1}
-			if !m.fillGap(act, m.newDynAt(e.pc+4096, in, act)) {
+			if !m.fillGap(act, m.newDyn(&act.fetchCtx, in)) {
 				t.Fatal("no segment for the planted insertion")
 			}
 		}},

@@ -6,26 +6,37 @@ import (
 	"cisim/internal/isa"
 )
 
+// fetchCtx is the state one fetch sequence carries: the next PC, the
+// speculative global history, the return address stack, and the golden
+// index fetch believes it is at (-1 on a wrong path). Sequential fetch,
+// each restart sequence and the redispatch walk own one apiece; a
+// sequence hands its context back to sequential fetch by assignment. The
+// RAS is a persistent stack, so copying a context copies its stack.
+type fetchCtx struct {
+	pc   uint64
+	hist bpred.History
+	ras  bpred.RAS
+	gold int
+}
+
 // restartSeq is an in-progress restart sequence (§3.1 / Figure 4): the
 // incorrect control dependent instructions have been squashed and the
 // sequencer is fetching the correct control dependent path into the gap
-// between the branch and the reconvergent point.
+// between the branch and the reconvergent point, with its own fetch
+// context.
 type restartSeq struct {
+	fetchCtx
 	branch *dyn
-	reconv *dyn // first preserved control independent instruction
-	// search marks an associative-search restart (§A.5.1): reconv is not
-	// known up front; incoming PCs are matched against the window
-	// content after the branch (instructions older than seqFloor), and
-	// the first hit becomes the reconvergent point.
-	search   bool
+	// reconv is the first preserved control independent instruction. It
+	// is nil while an associative search (§A.5.1) looks for it: incoming
+	// PCs are matched against the window content after the gap
+	// (instructions older than seqFloor), and the first hit becomes the
+	// reconvergent point.
+	reconv   *dyn
 	seqFloor uint64
-	fetchPC  uint64
-	hist     bpred.History
-	ras      *bpred.RAS
 	rmap     regMap // scratch rename array, filled by rmapAt
 	fillSeg  *segment
 	lastIns  *dyn
-	goldCur  int
 	started  int64
 	insert   int
 }
@@ -33,12 +44,12 @@ type restartSeq struct {
 // redispSeq is a pending or in-progress redispatch sequence: a walk over
 // the control independent instructions that remaps register sources,
 // re-predicts branches with corrected history, and selectively reissues
-// anything whose mapping changed (§3.2.3, §A.3.2).
+// anything whose mapping changed (§3.2.3, §A.3.2). Its fetch context
+// carries the repaired history, RAS and golden cursor; the PC is set
+// when the walk finishes.
 type redispSeq struct {
+	fetchCtx
 	cur       *dyn
-	hist      bpred.History
-	ras       *bpred.RAS
-	gold      int
 	rmap      regMap // scratch rename array, filled when the walk starts
 	rmapValid bool
 }
@@ -67,7 +78,7 @@ func (m *machine) serviceRecoveries() {
 			// recovery's own redispatch re-covers the region.
 			m.takePending(nb)
 			m.beginRecovery(nb)
-		case m.active.search:
+		case m.active.reconv == nil:
 			// A search restart has no reconvergent point yet; only a
 			// recovery logically before its branch can displace it.
 			if !m.active.branch.retired && nb.d.pos < m.active.branch.pos {
@@ -137,7 +148,8 @@ func (m *machine) takePending(pr pendingRec) {
 }
 
 // preempt handles a misprediction detected logically before the active
-// restart sequence (§A.1.1, Figure 7).
+// restart sequence (§A.1.1, Figure 7). It runs only once the active
+// restart has its reconvergent point.
 func (m *machine) preempt(nb pendingRec) {
 	m.stats.Preemptions++
 	nr := m.findReconv(nb.d, nb.taken, nb.target)
@@ -156,7 +168,6 @@ func (m *machine) preempt(nb pendingRec) {
 		m.beginRecovery(nb)
 	default:
 		// CASE 3: the new reconvergent point precedes the active restart.
-		m.debugf("preempt CASE3 nb=%v act.branch=%v", nb.d, act.branch)
 		m.stats.Case3Preemptions++
 		if m.cfg.Preempt == PreemptOptimal {
 			m.suspended = append(m.suspended, act)
@@ -177,7 +188,6 @@ func (m *machine) preempt(nb pendingRec) {
 // instructions, so everything after the last inserted instruction is
 // squashed; sequential fetch will eventually refetch it.
 func (m *machine) abandonRestart(act *restartSeq) {
-	m.debugf("abandonRestart branch=%v lastIns=%v", act.branch, act.lastIns)
 	m.active = nil
 	if next := m.win.nextLive(act.lastIns, false); next != nil {
 		m.squashFrom(next)
@@ -204,7 +214,6 @@ func (m *machine) beginRecoveryInner(pr pendingRec) {
 	if m.cfg.hookRecovery != nil {
 		m.cfg.hookRecovery(m, pr)
 	}
-	m.debugf("beginRecovery %v repred=%v taken=%v", d, pr.repred, pr.taken)
 	m.stats.Recoveries++
 	if !pr.repred {
 		m.stats.Mispredicts++
@@ -224,11 +233,11 @@ func (m *machine) beginRecoveryInner(pr pendingRec) {
 		}
 	}
 
-	// Redirect the branch's assumed direction. If the branch has a
-	// current computed outcome that disagrees with the new direction
-	// (a re-prediction applied after the branch re-completed), queue the
-	// execution-driven recovery immediately so the mismatch cannot
-	// stand silently.
+	// Redirect the branch's assumed direction; every fetch context built
+	// below resumes on it. If the branch has a current computed outcome
+	// that disagrees with the new direction (a re-prediction applied
+	// after the branch re-completed), queue the execution-driven recovery
+	// immediately so the mismatch cannot stand silently.
 	d.assumedTaken = pr.taken
 	d.assumedTarget = pr.target
 	m.dropGoldPrefix(d)
@@ -242,69 +251,109 @@ func (m *machine) beginRecoveryInner(pr pendingRec) {
 	if m.redisp != nil && (m.redisp.cur == nil || m.redisp.cur.pos > d.pos) {
 		// A finished-but-unretired walk (cur == nil) is superseded too:
 		// the recovery re-establishes fetch state itself.
-		m.debugf("  drop walk (branch older or walk drained)")
 		m.redisp = nil
 	}
 	m.dropFetchBuf()
 
 	if nr == nil && m.cfg.Machine != Base && !m.cfg.Reconv.PostDom && m.cfg.Reconv.Assoc {
-		if m.beginSearchRecovery(d, pr) {
+		if m.beginSearchRecovery(d) {
 			return
 		}
 	}
-	if nr == nil {
-		m.debugf("  fullSquash")
-		m.fullSquash(d)
-		return
-	}
-	m.debugf("  restart: reconv=%v", nr)
-
-	// Selective squash of the incorrect control dependent instructions.
-	m.stats.Reconverged++
-	removed := uint64(0)
-	squashedStores := m.storeScratch[:0]
-	m.win.forEachAfter(d, func(c *dyn) bool {
-		if c == nr {
-			return false
-		}
-		if c.isStore && c.eaValid {
-			squashedStores = append(squashedStores, c)
-		}
-		m.countWrongPath(c)
-		m.squashDyn(c)
-		removed++
-		return true
-	})
 	// Segment granularity: if the reconvergent point shares the branch's
 	// segment, the whole rest of that segment must go too (§A.4).
 	for nr != nil && nr.seg == d.seg {
-		next := m.win.nextLive(nr, false)
-		if nr.isStore && nr.eaValid {
-			squashedStores = append(squashedStores, nr)
-		}
-		m.countWrongPath(nr)
-		m.squashDyn(nr)
-		removed++
-		nr = next
+		nr = m.win.nextLive(nr, false)
 	}
 	if nr == nil {
-		// Everything after the branch fell in its segment: degenerate to
-		// a complete squash.
-		m.storeScratch = squashedStores[:0]
-		m.stats.Reconverged--
+		// No reconvergent point, or everything after the branch falls in
+		// its segment: a complete squash.
 		m.fullSquash(d)
 		return
 	}
+	m.reconverge(d, d, nr)
+	m.startRestart(d, nr)
+}
+
+// beginSearchRecovery starts an associative-search restart (§A.5.1): a
+// restart with no reconvergent point yet. Nothing past the branch's
+// segment is squashed; the fill matches each incoming PC against the
+// surviving window content after the branch. Returns false when there is
+// nothing after the branch to search.
+func (m *machine) beginSearchRecovery(d *dyn) bool {
+	// Segment granularity (§A.4): the fill segment links after the
+	// branch's segment, so any live same-segment successors must go
+	// first — they cannot be preserved across a mid-segment insertion.
+	for i := d.slot + 1; i < d.seg.used; i++ {
+		if c := d.seg.slots[i]; !c.squashed && !c.retired {
+			m.squashCD(c)
+		}
+	}
+	m.reissueLoadsAfterStoreSquash(d)
+	if m.win.nextLive(d, false) == nil {
+		return false
+	}
+	m.startRestart(d, nil)
+	return true
+}
+
+// redirect returns the fetch context that resumes just after branch d on
+// its assumed path: d's history with its direction pushed, the RAS from
+// d's snapshot with a return's pop replayed (the snapshot was taken
+// before a return's pop, after a call's push), and the golden cursor
+// when the target is the architectural successor.
+func (m *machine) redirect(d *dyn) fetchCtx {
+	fc := fetchCtx{pc: d.assumedTarget, hist: d.histBefore, gold: -1}
+	if d.isCond {
+		fc.hist = fc.hist.Push(d.assumedTaken)
+	}
+	fc.ras.Restore(d.rasSnap)
+	if isa.ClassOf(d.inst.Op) == isa.ClassReturn {
+		fc.ras.Pop()
+	}
+	if d.gold >= 0 && d.assumedTarget == m.golden.at(d.gold).nextPC {
+		fc.gold = d.gold + 1
+	}
+	return fc
+}
+
+// startRestart makes a restart sequence after branch d active: it
+// fetches d's corrected path into the gap before reconv (nil for an
+// associative search), renaming from the map just after d.
+func (m *machine) startRestart(d, reconv *dyn) {
+	m.active = &restartSeq{
+		fetchCtx: m.redirect(d),
+		branch:   d,
+		reconv:   reconv,
+		seqFloor: m.seq + 1,
+		lastIns:  d,
+		started:  m.cycle,
+	}
+	m.rmapAt(&m.active.rmap, d)
+	m.rebuildTailRmap()
+}
+
+// reconverge commits a restart after branch to reconvergent point
+// reconv: the incorrect control dependent instructions between after and
+// reconv are squashed, loads past the branch that may have read a
+// squashed store reissue (§3.2.3), and the preserved control independent
+// instructions are marked for Tables 2 and 3.
+func (m *machine) reconverge(branch, after, reconv *dyn) {
+	removed := uint64(0)
+	m.win.forEachAfter(after, func(c *dyn) bool {
+		if c == reconv {
+			return false
+		}
+		m.squashCD(c)
+		removed++
+		return true
+	})
+	m.reissueLoadsAfterStoreSquash(branch)
+	m.stats.Reconverged++
 	m.stats.RemovedCD += removed
 
-	// Loads in the preserved region that read squashed stores' data must
-	// reissue (memory dependences broken by the restart, §3.2.3).
-	m.reissueLoadsAfterStoreSquash(d, squashedStores)
-	m.storeScratch = squashedStores[:0]
-
-	// Mark preserved control independent instructions (Table 2/3).
 	ci := uint64(0)
-	for c := nr; c != nil; c = m.win.nextLive(c, false) {
+	for c := reconv; c != nil; c = m.win.nextLive(c, false) {
 		ci++
 		if c.saved == savedNo {
 			if c.st == stWaiting && c.issues == 0 {
@@ -315,90 +364,6 @@ func (m *machine) beginRecoveryInner(pr pendingRec) {
 		}
 	}
 	m.stats.CIInstructions += ci
-
-	// Start the restart sequence.
-	hist := d.histBefore
-	if d.isCond {
-		hist = hist.Push(pr.taken)
-	}
-	ras := bpred.NewRAS()
-	ras.Restore(d.rasSnap)
-	m.adjustRASFor(d, ras)
-	goldCur := -1
-	if d.gold >= 0 && pr.target == m.golden.at(d.gold).nextPC {
-		goldCur = d.gold + 1
-	}
-	m.active = &restartSeq{
-		branch:  d,
-		reconv:  nr,
-		fetchPC: pr.target,
-		hist:    hist,
-		ras:     ras,
-		lastIns: d,
-		goldCur: goldCur,
-		started: m.cycle,
-	}
-	m.rmapAt(&m.active.rmap, d)
-	m.rebuildTailRmap()
-}
-
-// beginSearchRecovery starts an associative-search restart (§A.5.1):
-// nothing is squashed yet; the fill proceeds and each incoming PC is
-// matched against the surviving window content after the branch. Returns
-// false when there is nothing after the branch to search.
-func (m *machine) beginSearchRecovery(d *dyn, pr pendingRec) bool {
-	// Segment granularity (§A.4): the fill segment links after the
-	// branch's segment, so any live same-segment successors must go
-	// first — they cannot be preserved across a mid-segment insertion.
-	squashedStores := m.storeScratch[:0]
-	for i := d.slot + 1; i < d.seg.used; i++ {
-		c := d.seg.slots[i]
-		if !c.squashed && !c.retired {
-			if c.isStore && c.eaValid {
-				squashedStores = append(squashedStores, c)
-			}
-			m.countWrongPath(c)
-			m.squashDyn(c)
-		}
-	}
-	m.reissueLoadsAfterStoreSquash(d, squashedStores)
-	m.storeScratch = squashedStores[:0]
-	if m.win.nextLive(d, false) == nil {
-		return false
-	}
-	hist := d.histBefore
-	if d.isCond {
-		hist = hist.Push(pr.taken)
-	}
-	ras := bpred.NewRAS()
-	ras.Restore(d.rasSnap)
-	m.adjustRASFor(d, ras)
-	goldCur := -1
-	if d.gold >= 0 && pr.target == m.golden.at(d.gold).nextPC {
-		goldCur = d.gold + 1
-	}
-	m.active = &restartSeq{
-		branch:   d,
-		search:   true,
-		seqFloor: m.seq + 1,
-		fetchPC:  pr.target,
-		hist:     hist,
-		ras:      ras,
-		lastIns:  d,
-		goldCur:  goldCur,
-		started:  m.cycle,
-	}
-	m.rmapAt(&m.active.rmap, d)
-	m.rebuildTailRmap()
-	return true
-}
-
-// adjustRASFor replays the branch's own RAS effect on a restored snapshot
-// (the snapshot was taken before a return's pop, after a call's push).
-func (m *machine) adjustRASFor(d *dyn, ras *bpred.RAS) {
-	if isa.ClassOf(d.inst.Op) == isa.ClassReturn {
-		ras.Pop()
-	}
 }
 
 // fullSquash implements complete-squash recovery: everything after the
@@ -414,19 +379,8 @@ func (m *machine) fullSquash(d *dyn) {
 	m.filterSuspended()
 	m.dropFetchBuf()
 
-	m.fetchPC = d.assumedTarget
+	m.fetch = m.redirect(d)
 	m.fetchOn = true
-	m.fetchHist = d.histBefore
-	if d.isCond {
-		m.fetchHist = m.fetchHist.Push(d.assumedTaken)
-	}
-	m.ras.Restore(d.rasSnap)
-	m.adjustRASFor(d, m.ras)
-	if d.gold >= 0 && d.assumedTarget == m.golden.at(d.gold).nextPC {
-		m.goldCur = d.gold + 1
-	} else {
-		m.goldCur = -1
-	}
 	m.rebuildTailRmap()
 }
 
@@ -446,6 +400,17 @@ func (m *machine) countWrongPath(c *dyn) {
 	if m.cfg.RecordPipeline && m.cfg.RecordSquashed {
 		m.recordSquashedPipe(c)
 	}
+}
+
+// squashCD squashes one incorrect control dependent instruction in a
+// selective squash. A squashed store with a known address joins
+// storeScratch, so reissueLoadsAfterStoreSquash can find its readers.
+func (m *machine) squashCD(c *dyn) {
+	if c.isStore && c.eaValid {
+		m.storeScratch = append(m.storeScratch, c)
+	}
+	m.countWrongPath(c)
+	m.squashDyn(c)
 }
 
 // dropFetchBuf discards fetched-but-undispatched instructions (they are
@@ -521,14 +486,14 @@ func (m *machine) findPCAfter(d *dyn, pc uint64) *dyn {
 }
 
 // continueRestart advances the active restart sequence: fetch the correct
-// control dependent path into the gap, up to Width per cycle.
+// control dependent path into the gap, up to Width per cycle. An
+// associative search first matches each fetch PC against the old window
+// content after the gap; a match becomes the reconvergent point, the
+// skipped incorrect control dependent instructions are squashed, and the
+// restart finishes like a plain one.
 func (m *machine) continueRestart() {
 	act := m.active
-	if act.search {
-		m.continueSearchRestart()
-		return
-	}
-	if act.reconv.squashed || act.reconv.retired {
+	if act.reconv != nil && (act.reconv.squashed || act.reconv.retired) {
 		// The preserved region was lost (for example to a suspended
 		// restart's cleanup); give up control independence for this
 		// recovery and continue as sequential fetch.
@@ -536,11 +501,25 @@ func (m *machine) continueRestart() {
 		return
 	}
 	for n := 0; n < m.cfg.Width; n++ {
-		if act.fetchPC == act.reconv.pc {
+		if act.reconv == nil {
+			var match *dyn
+			m.win.forEachAfter(act.lastIns, func(c *dyn) bool {
+				if c.seq < act.seqFloor && c.pc == act.pc {
+					match = c
+					return false
+				}
+				return true
+			})
+			if match != nil {
+				m.reconverge(act.branch, act.lastIns, match)
+				act.reconv = match
+			}
+		}
+		if act.reconv != nil && act.pc == act.reconv.pc {
 			m.finishRestart()
 			return
 		}
-		in, ok := m.p.InstAt(act.fetchPC)
+		in, ok := m.p.InstAt(act.pc)
 		if !ok {
 			// The correct path fetches garbage before reconverging (a
 			// wrong heuristic choice); squash the preserved region and
@@ -549,11 +528,18 @@ func (m *machine) continueRestart() {
 			return
 		}
 		// Make room, squashing control independent instructions youngest
-		// first (§3.2.2); give up CI if the reconvergent point itself
-		// must go.
+		// first (§3.2.2); give up CI if the instruction to keep — the
+		// reconvergent point, or while searching the last insertion —
+		// must go. §A.5.1's noted drawback of the search is precisely
+		// that buffers are reclaimed from the tail, possibly squashing
+		// control independent instructions unnecessarily.
+		keep := act.reconv
+		if keep == nil {
+			keep = act.lastIns
+		}
 		for m.win.segsAvailable() == 0 && (act.fillSeg == nil || act.fillSeg.full()) {
 			tail := m.win.tailLive()
-			if tail == nil || tail == act.reconv || tail.pos <= act.reconv.pos {
+			if tail == nil || tail == keep || tail.pos <= keep.pos {
 				m.convertRestartToPlain(false)
 				return
 			}
@@ -561,7 +547,7 @@ func (m *machine) continueRestart() {
 			m.countWrongPath(tail)
 			m.squashDyn(tail)
 		}
-		if !m.fillGap(act, m.newDynAt(act.fetchPC, in, act)) {
+		if !m.fillGap(act, m.newDyn(&act.fetchCtx, in)) {
 			return // could not place this cycle; retry next
 		}
 		if in.Op == isa.HALT {
@@ -574,94 +560,10 @@ func (m *machine) continueRestart() {
 	}
 }
 
-// continueSearchRestart advances an associative-search restart: fetch the
-// correct path into the gap, matching each next PC against the surviving
-// instructions after the branch. A match converts the restart into a
-// normal one (squash the skipped incorrect control dependent instructions
-// and redispatch from the match).
-func (m *machine) continueSearchRestart() {
-	act := m.active
-	for n := 0; n < m.cfg.Width; n++ {
-		// Match the next fetch PC against old (pre-recovery) window
-		// content after the gap.
-		var match *dyn
-		m.win.forEachAfter(act.lastIns, func(c *dyn) bool {
-			if c.seq < act.seqFloor && c.pc == act.fetchPC {
-				match = c
-				return false
-			}
-			return true
-		})
-		if match != nil {
-			// Found the reconvergent point: squash the old instructions
-			// between the gap and the match (the incorrect control
-			// dependent path) and finish as a normal restart.
-			removed := uint64(0)
-			squashedStores := m.storeScratch[:0]
-			m.win.forEachAfter(act.lastIns, func(c *dyn) bool {
-				if c == match {
-					return false
-				}
-				if c.isStore && c.eaValid {
-					squashedStores = append(squashedStores, c)
-				}
-				m.countWrongPath(c)
-				m.squashDyn(c)
-				removed++
-				return true
-			})
-			m.reissueLoadsAfterStoreSquash(act.branch, squashedStores)
-			m.storeScratch = squashedStores[:0]
-			m.stats.Reconverged++
-			m.stats.RemovedCD += removed
-			ci := uint64(0)
-			for c := match; c != nil; c = m.win.nextLive(c, false) {
-				ci++
-				if c.saved == savedNo {
-					if c.st == stWaiting && c.issues == 0 {
-						c.saved = savedFetched
-					} else {
-						c.saved = savedIssued
-					}
-				}
-			}
-			m.stats.CIInstructions += ci
-			act.reconv = match
-			act.search = false
-			m.finishRestart()
-			return
-		}
-		in, ok := m.p.InstAt(act.fetchPC)
-		if !ok {
-			m.convertSearchToPlain(false)
-			return
-		}
-		// Out of space: reclaim from the tail — §A.5.1's noted drawback
-		// is precisely that buffers are reclaimed from the tail, possibly
-		// squashing control independent instructions unnecessarily.
-		for m.win.segsAvailable() == 0 && (act.fillSeg == nil || act.fillSeg.full()) {
-			tail := m.win.tailLive()
-			if tail == nil || tail == act.lastIns {
-				m.convertSearchToPlain(false)
-				return
-			}
-			m.stats.EvictedCI++
-			m.countWrongPath(tail)
-			m.squashDyn(tail)
-		}
-		if !m.fillGap(act, m.newDynAt(act.fetchPC, in, act)) {
-			return
-		}
-		if in.Op == isa.HALT {
-			m.convertSearchToPlain(true)
-			return
-		}
-	}
-}
-
 // fillGap inserts a restart-fetched instruction after the restart's last
 // insertion and renames it from the restart's map. It returns false when
-// no segment is free this cycle; the instruction is then dropped.
+// no segment is free this cycle; the instruction is then dropped and the
+// restart's PC stays, so the next cycle fetches it again.
 func (m *machine) fillGap(act *restartSeq, d *dyn) bool {
 	seg := m.win.insertAfter(act.lastIns, act.fillSeg, d)
 	if seg == nil {
@@ -672,15 +574,18 @@ func (m *machine) fillGap(act *restartSeq, d *dyn) bool {
 	act.lastIns = d
 	act.insert++
 	m.renameWith(d, &act.rmap)
-	act.fetchPC = d.assumedTarget
+	act.pc = d.assumedTarget
 	return true
 }
 
 // reissueLoadsAfterStoreSquash reissues every live load after from whose
-// address range overlaps a squashed store: its value may have come from
-// that store (loads merge bytes from several stores, so tracking one
-// forwarding source is not enough — overlap is the safe test).
-func (m *machine) reissueLoadsAfterStoreSquash(from *dyn, squashed []*dyn) {
+// address range overlaps a store collected in storeScratch, and empties
+// it: the load's value may have come from that store (loads merge bytes
+// from several stores, so tracking one forwarding source is not enough —
+// overlap is the safe test).
+func (m *machine) reissueLoadsAfterStoreSquash(from *dyn) {
+	squashed := m.storeScratch
+	m.storeScratch = squashed[:0]
 	if len(squashed) == 0 {
 		return
 	}
@@ -696,117 +601,6 @@ func (m *machine) reissueLoadsAfterStoreSquash(from *dyn, squashed []*dyn) {
 		}
 		return true
 	})
-}
-
-// convertSearchToPlain gives up the associative search: the old window
-// content after the gap is squashed and sequential fetch continues.
-func (m *machine) convertSearchToPlain(halted bool) {
-	act := m.active
-	m.active = nil
-	if next := m.win.nextLive(act.lastIns, false); next != nil {
-		m.squashFrom(next)
-	}
-	m.win.sealAndSweep(act.fillSeg)
-	m.stats.InsertedCD += uint64(act.insert)
-	m.observeRestartPenalty(act)
-	m.stats.FullSquashes++
-
-	m.filterSuspended()
-	m.fetchPC = act.fetchPC
-	m.fetchOn = !halted && m.p.InCode(act.fetchPC)
-	m.fetchHist = act.hist
-	m.ras.Restore(act.ras.Snapshot())
-	m.goldCur = act.goldCur
-	m.rebuildTailRmap()
-}
-
-// newDynAt creates and predicts a dyn for restart fetch, using the
-// restart's own history, RAS, and golden cursor.
-func (m *machine) newDynAt(pc uint64, in isa.Inst, act *restartSeq) *dyn {
-	m.seq++
-	d := m.allocDyn()
-	d.seq, d.pc, d.inst, d.gold = m.seq, pc, in, -1
-	d.fetchC, d.doneC = m.cycle, -1
-	if act.goldCur >= 0 && act.goldCur < m.golden.n && m.golden.at(act.goldCur).pc == pc {
-		d.gold = act.goldCur
-	}
-	srcs := in.SrcRegs()
-	d.nsrc = len(srcs)
-	for i, r := range srcs {
-		d.srcReg[i] = r
-	}
-	if rd, ok := in.WritesReg(); ok {
-		d.dest, d.hasRd = rd, true
-	}
-	switch isa.ClassOf(in.Op) {
-	case isa.ClassLoad:
-		d.isLoad = true
-		d.esize = 8
-		if in.Op == isa.LB {
-			d.esize = 1
-		}
-	case isa.ClassStore:
-		d.isStore = true
-		d.esize = 8
-		if in.Op == isa.SB {
-			d.esize = 1
-		}
-	}
-	d.histBefore = act.hist
-	next := pc + 4
-	switch isa.ClassOf(in.Op) {
-	case isa.ClassCondBr:
-		d.isCtl, d.isCond = true, true
-		hist := act.hist
-		if m.cfg.OracleGlobalHistory && d.gold >= 0 {
-			hist = m.golden.at(d.gold).hist
-		}
-		d.predTaken = m.predictDir(pc, hist)
-		d.assumedTaken = d.predTaken
-		if d.predTaken {
-			next = in.BranchTarget(pc)
-		}
-		act.hist = act.hist.Push(d.predTaken)
-		d.rasSnap = act.ras.Snapshot()
-		if m.cfg.Reconv.Loop && cfg.IsBackwardBranch(in) {
-			m.addLoopTarget(next)
-		}
-	case isa.ClassJump:
-		next = in.Target
-	case isa.ClassCall:
-		act.ras.Push(pc + 4)
-		next = in.Target
-	case isa.ClassIndJump, isa.ClassIndCall:
-		d.isCtl = true
-		if t, ok := m.ctb.Predict(pc, act.hist); ok {
-			next = t
-		}
-		if isa.ClassOf(in.Op) == isa.ClassIndCall {
-			act.ras.Push(pc + 4)
-		}
-		d.rasSnap = act.ras.Snapshot()
-	case isa.ClassReturn:
-		d.isCtl = true
-		d.rasSnap = act.ras.Snapshot()
-		if t, ok := act.ras.Pop(); ok {
-			next = t
-		}
-		if m.cfg.Reconv.Return {
-			m.addRetTarget(next)
-		}
-	}
-	d.assumedTarget = next
-	if d.gold >= 0 && act.goldCur == d.gold {
-		if next == m.golden.at(d.gold).nextPC {
-			act.goldCur = d.gold + 1
-		} else {
-			act.goldCur = -1
-		}
-	}
-	if m.trc != nil {
-		m.trc.TraceFetch(d.seq, pc, in, m.cycle)
-	}
-	return d
 }
 
 func (m *machine) renameWith(d *dyn, rmap *regMap) {
@@ -828,17 +622,14 @@ func (m *machine) renameWith(d *dyn, rmap *regMap) {
 // finishRestart completes the restart sequence and schedules redispatch.
 func (m *machine) finishRestart() {
 	act := m.active
-	m.debugf("finishRestart branch=%v inserted=%d lastIns=%v", act.branch, act.insert, act.lastIns)
 	m.active = nil
 	m.win.sealAndSweep(act.fillSeg)
 	m.stats.InsertedCD += uint64(act.insert)
 	m.observeRestartPenalty(act)
 
-	nd := &redispSeq{cur: act.reconv, hist: act.hist, ras: act.ras, gold: act.goldCur}
+	nd := &redispSeq{fetchCtx: act.fetchCtx, cur: act.reconv}
 	if m.redisp == nil || nd.cur.pos < m.redisp.cur.pos {
 		m.redisp = nd
-	} else {
-		m.debugf("  keep older walk at %v over %v", m.redisp.cur, nd.cur)
 	}
 	m.resumeSuspended()
 }
@@ -853,23 +644,17 @@ func (m *machine) filterSuspended() {
 		// merely having retired is fine: the gap still needs filling.
 		if s.branch.squashed || s.lastIns.squashed ||
 			s.reconv.squashed || s.reconv.retired {
-			m.debugf("drop suspended branch=%v(sq=%v) lastIns=%v(sq=%v) reconv=%v(sq=%v,rt=%v)",
-				s.branch, s.branch.squashed, s.lastIns, s.lastIns.squashed,
-				s.reconv, s.reconv.squashed, s.reconv.retired)
 			// If the partial gap fill survives, its tail dangles into a
 			// hole of never-fetched instructions; squash the remnant and
-			// restore the suspension's own fetch cursor so sequential
+			// restore the suspension's own fetch context so sequential
 			// fetch can refill it. (A pending redispatch walk, if any,
 			// re-derives this state when it finishes.)
 			if !s.lastIns.squashed && !s.lastIns.retired {
 				if next := m.win.nextLive(s.lastIns, false); next != nil {
 					m.squashFrom(next)
 				}
-				m.fetchPC = s.fetchPC
-				m.fetchHist = s.hist
-				m.ras.Restore(s.ras.Snapshot())
-				m.goldCur = s.goldCur
-				m.fetchOn = m.p.InCode(s.fetchPC)
+				m.fetch = s.fetchCtx
+				m.fetchOn = m.p.InCode(s.pc)
 			}
 			continue
 		}
@@ -888,38 +673,30 @@ func (m *machine) resumeSuspended() {
 	s := m.suspended[len(m.suspended)-1]
 	m.suspended = m.suspended[:len(m.suspended)-1]
 	m.rmapAt(&s.rmap, s.lastIns)
-	m.debugf("resume suspended branch=%v lastIns=%v", s.branch, s.lastIns)
 	m.active = s
 }
 
 // convertRestartToPlain abandons control independence for the active
-// restart: the preserved region is squashed and fetch continues
-// sequentially from the restart cursor.
+// restart: everything past the filled portion of the gap (the preserved
+// region, or a search's old window content) is squashed, and sequential
+// fetch continues from the restart's context.
 func (m *machine) convertRestartToPlain(halted bool) {
 	act := m.active
-	m.debugf("convertRestartToPlain branch=%v reconv=%v lastIns=%v halted=%v", act.branch, act.reconv, act.lastIns, halted)
-	m.active = nil
-	// Squash everything past the filled portion of the gap: the
-	// preserved region is being given up, and any remnant would leave a
-	// hole of missing instructions.
-	if next := m.win.nextLive(act.lastIns, false); next != nil {
-		m.squashFrom(next)
-	}
-	m.win.sealAndSweep(act.fillSeg)
+	m.abandonRestart(act)
 	m.stats.InsertedCD += uint64(act.insert)
 	m.observeRestartPenalty(act)
-	// Degrades to a full squash for statistics purposes.
-	m.stats.Reconverged--
+	// Degrades to a full squash for statistics purposes; a search that
+	// never matched was never counted as reconverged.
+	if act.reconv != nil {
+		m.stats.Reconverged--
+	}
 	m.stats.FullSquashes++
 
 	m.filterSuspended()
 	// A pending redispatch walk over an older region survives: it will
 	// finish and restore sequential fetch itself.
-	m.fetchPC = act.fetchPC
-	m.fetchOn = !halted
-	m.fetchHist = act.hist
-	m.ras.Restore(act.ras.Snapshot())
-	m.goldCur = act.goldCur
+	m.fetch = act.fetchCtx
+	m.fetchOn = !halted && m.p.InCode(act.pc)
 	m.rebuildTailRmap()
 }
 
@@ -935,7 +712,6 @@ func (m *machine) continueWalk() {
 			m.rmapAt(&rd.rmap, prev)
 		}
 		rd.rmapValid = true
-		m.debugf("walk start cur=%v rmap[r11]=%v", rd.cur, rd.rmap[11])
 	}
 	steps := m.cfg.Width
 	if m.cfg.Machine == CIInstant {
@@ -972,7 +748,6 @@ func (m *machine) continueWalk() {
 			}
 		}
 		if changed {
-			m.debugf("walk remap %v", d)
 			m.forceReissue(d)
 			if d.issues > 0 {
 				m.stats.RegViolations++
@@ -1075,23 +850,19 @@ func (m *machine) repredict(d *dyn, rd *redispSeq) bool {
 }
 
 // finishWalk restores normal sequencing after redispatch: the tail rename
-// map, fetch history, RAS and cursor all come from the walk.
+// map and the fetch context come from the walk, with the PC after the
+// window's tail. An empty window leaves the PC and fetchOn as they were.
 func (m *machine) finishWalk() {
 	rd := m.redisp
-	m.debugf("finishWalk")
 	m.redisp = nil
 	m.tailRmap = rd.rmap
 	if m.shadow != nil {
 		m.shadow.setTailFrom(&rd.rmap)
 	}
-	m.fetchHist = rd.hist
-	m.ras.Restore(rd.ras.Snapshot())
-	m.goldCur = rd.gold
-
-	tail := m.win.tailLive()
-	if tail == nil {
-		return
+	rd.pc = m.fetch.pc
+	if tail := m.win.tailLive(); tail != nil {
+		rd.pc = tail.assumedTarget
+		m.fetchOn = tail.inst.Op != isa.HALT && m.p.InCode(rd.pc)
 	}
-	m.fetchPC = tail.assumedTarget
-	m.fetchOn = tail.inst.Op != isa.HALT && m.p.InCode(m.fetchPC)
+	m.fetch = rd.fetchCtx
 }

@@ -7,8 +7,8 @@ package ooo
 //
 // Tracing is opt-in and costs one nil pointer check per pipeline stage
 // when disabled. A non-nil Tracer makes the configuration non-memoizable
-// (Config.Key returns false), exactly like Debug: the hook's side
-// effects live outside the Result the artifact cache stores.
+// (Config.Key returns false): the hook's side effects live outside the
+// Result the artifact cache stores.
 
 import (
 	"bufio"

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,7 +137,7 @@ func TestDetailedUncacheable(t *testing.T) {
 	c := NewCache()
 	w := testWorkload(t)
 	cfg := ooo.Config{Machine: ooo.CI, WindowSize: 64, MaxInstrs: 4_000,
-		Debug: func(string, ...interface{}) {}}
+		Tracer: ooo.NewJSONLTracer(io.Discard)}
 	ctx, sc := scoped(nil)
 	r1, hit, err := c.DetailedContext(ctx, w, 100, cfg)
 	if err != nil || hit {
@@ -147,7 +148,7 @@ func TestDetailedUncacheable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hit || r2 == r1 {
-		t.Error("debug-hooked config was memoized")
+		t.Error("traced config was memoized")
 	}
 	if s := sc.Stats(); s.ResultHits != 0 || s.ResultMisses != 0 {
 		t.Errorf("uncacheable runs touched result stats: %+v", s)
