@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt-check lint checkprog race faults schema perfbench-check serve-smoke cache-smoke metrics-smoke check bench bench-baseline benchdiff run-all profile clean
+.PHONY: all build test vet fmt-check lint checkprog examples race faults schema perfbench-check serve-smoke cache-smoke metrics-smoke check bench bench-baseline benchdiff run-all profile clean
 
 # The headline benchmarks gated by BENCH_10.json (see bench-baseline and
 # benchdiff below). BenchmarkTraceGeneration's regex also matches the
@@ -42,6 +42,18 @@ lint:
 # targets, reachability, def-before-use, call discipline, reconvergence).
 checkprog:
 	$(GO) run ./cmd/cisim check
+
+# examples runs every program under examples/, the facade's only
+# end-to-end users, and fails on the first that exits non-zero. The
+# build only compiles them. serveclient is skipped: it needs a running
+# daemon, and serve-smoke drives it against one.
+examples:
+	@for d in examples/*/; do \
+		name=$$(basename $$d); \
+		[ "$$name" = serveclient ] && continue; \
+		echo "examples/$$name"; \
+		$(GO) run ./examples/$$name > /dev/null || exit 1; \
+	done
 
 # race runs the whole tree under the race detector. -short keeps the
 # single-threaded model packages cheap (they skip their long sweeps)
@@ -106,11 +118,11 @@ metrics-smoke:
 	./scripts/metrics_smoke.sh
 
 # check is the CI gate: build, vet, the format check, the custom
-# analyzers, the workload verifier, full tests, the race pass, the fault
-# matrix, the schema golden tests, the benchmark module's vet and
-# self-test, and the process-boundary smoke tests (serve daemon,
-# persistent store, observability surface).
-check: build vet fmt-check lint checkprog test race faults schema perfbench-check serve-smoke cache-smoke metrics-smoke
+# analyzers, the workload verifier, full tests, the example programs,
+# the race pass, the fault matrix, the schema golden tests, the
+# benchmark module's vet and self-test, and the process-boundary smoke
+# tests (serve daemon, persistent store, observability surface).
+check: build vet fmt-check lint checkprog test examples race faults schema perfbench-check serve-smoke cache-smoke metrics-smoke
 
 bench:
 	$(GO) test -bench='BenchmarkRunAllQuick|BenchmarkWindowCacheIterate|BenchmarkTraceGenerationBatched' -benchtime=1x -run=^$$ $(BENCHPKGS)

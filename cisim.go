@@ -80,12 +80,16 @@ type DetailedConfig = ooo.Config
 // DetailedResult is a detailed simulation's outcome.
 type DetailedResult = ooo.Result
 
-// PipeRecord is one retired instruction's pipeline timing, recorded when
-// DetailedConfig.RecordPipeline is set.
+// PipeRecord is one instruction's pipeline timing, taken when it retires
+// or is squashed (Squashed).
 type PipeRecord = ooo.PipeRecord
 
+// PipeRecorder keeps the PipeRecord of every instruction of a detailed
+// run: set it as DetailedConfig.Tracer and read Recs after the run.
+type PipeRecorder = ooo.PipeRecorder
+
 // RenderPipeline draws pipeline records as an ASCII timeline (F fetch,
-// I last issue, C complete, R retire), one row per retired instruction.
+// I last issue, C complete, R retire, Q squash), one row per record.
 func RenderPipeline(recs []PipeRecord, width int) string {
 	return ooo.RenderPipeline(recs, width)
 }

@@ -86,17 +86,17 @@ func TestFacadeExperiments(t *testing.T) {
 
 func TestFacadeRenderPipeline(t *testing.T) {
 	p := MustWorkload("xvortex").Program(50)
+	rec := &PipeRecorder{}
 	r, err := RunDetailed(p, DetailedConfig{
-		Machine: MachineBase, WindowSize: 64,
-		RecordPipeline: true, PipelineLimit: 20,
+		Machine: MachineBase, WindowSize: 64, MaxInstrs: 20, Tracer: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Pipeline) != 20 {
-		t.Fatalf("recorded %d pipeline entries, want 20", len(r.Pipeline))
+	if r.Stats.Retired != 20 || len(rec.Recs) < 20 {
+		t.Fatalf("retired %d, recorded %d pipeline entries; want 20 retirements", r.Stats.Retired, len(rec.Recs))
 	}
-	out := RenderPipeline(r.Pipeline, 80)
+	out := RenderPipeline(rec.Recs, 80)
 	if !strings.Contains(out, "cycle axis") || !strings.Contains(out, "F") {
 		t.Errorf("facade timeline missing content:\n%s", out)
 	}

@@ -329,26 +329,6 @@ func TestCmdRunParallel(t *testing.T) {
 	}
 }
 
-func TestCmdPipeKanata(t *testing.T) {
-	f := t.TempDir() + "/k.log"
-	out, err := capture(t, func() error {
-		return cmdPipe([]string{"-kanata", f, "-n", "12", "-iters", "60", "xgo"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "Kanata 0004") {
-		t.Errorf("pipe -kanata output unexpected: %q", out)
-	}
-	data, err := os.ReadFile(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), "Kanata\t0004\n") {
-		t.Errorf("log file missing Kanata header: %q", string(data[:40]))
-	}
-}
-
 func TestCmdDisasmSource(t *testing.T) {
 	out, err := capture(t, func() error { return cmdDisasm([]string{"-source", "xcompress"}) })
 	if err != nil {

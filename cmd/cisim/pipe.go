@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"cisim/internal/ooo"
 )
@@ -17,8 +16,7 @@ func cmdPipe(args []string) error {
 	start := fs.Int("start", 0, "first retired instruction to show")
 	n := fs.Int("n", 48, "instructions to show")
 	width := fs.Int("width", 96, "timeline width in cycles/columns")
-	kanata := fs.String("kanata", "", "write a Kanata log (for the Konata visualizer) to this file instead of printing a timeline")
-	squashed := fs.Bool("squashed", false, "also record squashed wrong-path instructions (rows marked Q/squashed; Kanata flushes)")
+	squashed := fs.Bool("squashed", false, "also show squashed wrong-path instructions (rows marked Q/squashed)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -29,11 +27,13 @@ func cmdPipe(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The run stops at the last retirement shown; every record before it
+	// is what an unbounded run records.
+	rec := &ooo.PipeRecorder{}
 	cfg := ooo.Config{
-		WindowSize:     *window,
-		RecordPipeline: true,
-		RecordSquashed: *squashed,
-		PipelineLimit:  *start + *n,
+		WindowSize: *window,
+		MaxInstrs:  uint64(*start + *n),
+		Tracer:     rec,
 	}
 	switch *machine {
 	case "BASE":
@@ -45,32 +45,24 @@ func cmdPipe(args []string) error {
 	default:
 		return fmt.Errorf("unknown machine %q", *machine)
 	}
-	r, err := ooo.Run(p, cfg)
-	if err != nil {
+	if _, err := ooo.Run(p, cfg); err != nil {
 		return err
 	}
-	recs := r.Pipeline
+	recs := rec.Recs
+	if !*squashed {
+		recs = recs[:0]
+		for _, r := range rec.Recs {
+			if !r.Squashed {
+				recs = append(recs, r)
+			}
+		}
+	}
 	if *start >= len(recs) {
 		return fmt.Errorf("start %d beyond %d recorded instructions", *start, len(recs))
 	}
 	recs = recs[*start:]
 	if len(recs) > *n {
 		recs = recs[:*n]
-	}
-	if *kanata != "" {
-		f, err := os.Create(*kanata)
-		if err != nil {
-			return err
-		}
-		if err := ooo.WriteKanata(f, recs); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d instructions to %s (Kanata 0004)\n", len(recs), *kanata)
-		return nil
 	}
 	fmt.Printf("%v on %s, window %d — F fetch, I (last) issue, C complete, R retire;\n"+
 		"xN = issued N times, s = survived a recovery, r = survived then reissued\n\n",

@@ -81,13 +81,14 @@ func ExampleRenderPipeline() {
 	if err != nil {
 		panic(err)
 	}
-	r, err := cisim.RunDetailed(p, cisim.DetailedConfig{
-		Machine: cisim.MachineBase, WindowSize: 32, RecordPipeline: true,
+	rec := &cisim.PipeRecorder{}
+	_, err = cisim.RunDetailed(p, cisim.DetailedConfig{
+		Machine: cisim.MachineBase, WindowSize: 32, Tracer: rec,
 	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Print(cisim.RenderPipeline(r.Pipeline, 16))
+	fmt.Print(cisim.RenderPipeline(rec.Recs, 16))
 	// Output:
 	// cycle axis: 1 .. 16 (one column per cycle)
 	//      1 0x00001000 addi r1, r0, 2           F.ICR

@@ -1,7 +1,7 @@
 // Pipeview makes selective squash visible. It runs the same unpredictable
 // hammock — a branch on a fresh pseudo-random bit, two short arms, then a
 // block of control independent work — through the BASE and CI machines
-// with pipeline recording enabled, and prints the per-instruction
+// with a pipeline recorder attached, and prints the per-instruction
 // timeline around one misprediction.
 //
 // On BASE, every instruction after the branch restarts from fetch: the
@@ -54,12 +54,13 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, mach := range []cisim.Machine{cisim.MachineBase, cisim.MachineCI} {
+		// The recorder keeps every instruction's record, squashed
+		// wrong-path rows included (they appear with a Q marker).
+		rec := &cisim.PipeRecorder{}
 		r, err := cisim.RunDetailed(p, cisim.DetailedConfig{
-			Machine:        mach,
-			WindowSize:     64,
-			RecordPipeline: true,
-			RecordSquashed: true, // wrong-path rows appear with a Q marker
-			PipelineLimit:  1 << 16,
+			Machine:    mach,
+			WindowSize: 64,
+			Tracer:     rec,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -67,8 +68,8 @@ func main() {
 		// Find the first recovery's neighbourhood: the first record that
 		// survived a squash (CI), or just a fixed window into the run.
 		start := 60
-		for i, rec := range r.Pipeline {
-			if rec.Saved {
+		for i, pr := range rec.Recs {
+			if pr.Saved {
 				start = i - 8
 				break
 			}
@@ -76,7 +77,7 @@ func main() {
 		if start < 0 {
 			start = 0
 		}
-		recs := r.Pipeline[start:]
+		recs := rec.Recs[start:]
 		if len(recs) > 28 {
 			recs = recs[:28]
 		}

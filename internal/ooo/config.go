@@ -250,18 +250,6 @@ type Config struct {
 	// true/false misprediction analysis.
 	RecordMisps bool
 
-	// RecordPipeline records per-retired-instruction pipeline timing
-	// (fetch/issue/complete/retire cycles, issue counts, CI-survivor
-	// flags) into Result.Pipeline, for visualization ('cisim pipe') and
-	// tests. PipelineLimit caps the recording (0 = 10,000 records).
-	RecordPipeline bool
-	PipelineLimit  int
-	// RecordSquashed additionally records squashed (wrong-path or
-	// displaced) instructions, stamped at their squash cycle — the work
-	// that BASE throws away and CI preserves becomes visible in the
-	// timeline and as flushes in the Kanata export.
-	RecordSquashed bool
-
 	// CollectMetrics fills Result.Metrics with a deterministic snapshot
 	// of the run's counters and cycle-keyed histograms (window
 	// occupancy, fetch-to-retire latency, recovery penalty, squash
@@ -274,9 +262,10 @@ type Config struct {
 	Check bool
 
 	// Tracer, when set, observes every dynamic instruction's pipeline
-	// stage transitions (see the Tracer interface in tracer.go). It is an
-	// observation hook with side effects outside the Result, so traced
-	// runs are never memoized.
+	// stage transitions and its terminal record (see the Tracer interface
+	// in tracer.go; PipeRecorder keeps the records). It is an observation
+	// hook with side effects outside the Result, so traced runs are never
+	// memoized.
 	Tracer Tracer
 
 	// hookRecovery, when set, observes each serviced recovery (tests).
@@ -343,9 +332,8 @@ func (c Config) Key() (string, bool) {
 		d.HideFalseMispredictions, d.OracleGlobalHistory)
 	fmt.Fprintf(&b, " cache=%+v icache=%+v bimodal=%t gshare=%d target=%d",
 		d.Cache, d.ICache, d.BimodalPredictor, d.GShareBits, d.TargetBits)
-	fmt.Fprintf(&b, " maxinstrs=%d maxcycles=%d misps=%t pipe=%t pipelimit=%d squashed=%t check=%t metrics=%t",
-		d.MaxInstrs, d.MaxCycles, d.RecordMisps, d.RecordPipeline,
-		d.PipelineLimit, d.RecordSquashed, d.Check, d.CollectMetrics)
+	fmt.Fprintf(&b, " maxinstrs=%d maxcycles=%d misps=%t check=%t metrics=%t",
+		d.MaxInstrs, d.MaxCycles, d.RecordMisps, d.Check, d.CollectMetrics)
 	return b.String(), true
 }
 

@@ -25,8 +25,7 @@ type MispEvent struct {
 // Result is a completed simulation.
 type Result struct {
 	Stats      Stats
-	MispEvents []MispEvent  // populated when Config.RecordMisps is set
-	Pipeline   []PipeRecord // populated when Config.RecordPipeline is set
+	MispEvents []MispEvent // populated when Config.RecordMisps is set
 	// Metrics is the deterministic counter/histogram snapshot, populated
 	// when Config.CollectMetrics is set. It is part of the Result proper
 	// — a pure function of program and configuration — so cached results
@@ -90,13 +89,14 @@ type machine struct {
 	shadow *refShadow
 
 	mispEvents []MispEvent
-	pipeRecs   []PipeRecord
 
 	// Observability hooks (tracer.go). trc mirrors cfg.Tracer; mx is
 	// non-nil when cfg.CollectMetrics is set. Both are checked with one
-	// nil test per pipeline stage.
-	trc Tracer
-	mx  *machineMetrics
+	// nil test per pipeline stage. endRec is the record traceEnd fills
+	// for every terminal event.
+	trc    Tracer
+	mx     *machineMetrics
+	endRec PipeRecord
 
 	// arena batch-allocates dyns: the simulator creates one per fetched
 	// instruction (wrong paths included), and individual heap
@@ -250,7 +250,7 @@ func (m *machine) run() (*Result, error) {
 		m.stats.ICacheAccesses = m.icache.Accesses
 		m.stats.ICacheMisses = m.icache.Misses
 	}
-	r := &Result{Stats: m.stats, MispEvents: m.mispEvents, Pipeline: m.pipeRecs}
+	r := &Result{Stats: m.stats, MispEvents: m.mispEvents}
 	if m.mx != nil {
 		r.Metrics = m.mx.finalize(m)
 	}
@@ -365,7 +365,7 @@ func (m *machine) newDyn(fc *fetchCtx, in isa.Inst) *dyn {
 	m.seq++
 	d := m.allocDyn()
 	d.seq, d.pc, d.inst, d.gold = m.seq, fc.pc, in, -1
-	d.fetchC, d.doneC = m.cycle, -1
+	d.fetchC, d.renameC, d.doneC = m.cycle, -1, -1
 	if fc.gold >= 0 && fc.gold < m.golden.n && m.golden.at(fc.gold).pc == fc.pc {
 		d.gold = fc.gold
 	}
@@ -530,6 +530,7 @@ func (m *machine) renameAtTail(d *dyn) {
 			m.shadow.tailRmap[d.dest] = d
 		}
 	}
+	d.renameC = m.cycle
 	if m.trc != nil {
 		m.trc.TraceRename(d.seq, m.cycle)
 	}
@@ -1220,10 +1221,7 @@ func (m *machine) commit(d *dyn) {
 		m.mx.issuesPerRetired.Observe(int64(d.issues))
 	}
 	if m.trc != nil {
-		m.trc.TraceRetire(d.seq, m.cycle)
-	}
-	if m.cfg.RecordPipeline {
-		m.recordPipe(d)
+		m.traceEnd(d, false)
 	}
 	m.retireCur++
 	// Drop the dyn from the tail rename map if it is still the latest.

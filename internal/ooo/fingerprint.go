@@ -8,14 +8,13 @@ import (
 // Fingerprint returns an integrity checksum of the simulation result for
 // the runner's artifact cache to verify on read. It covers Stats, a flat
 // struct of counters whose %+v rendering is a complete, deterministic
-// serialization, plus the number of misprediction events and of pipeline
-// records. The recordings' contents and the Metrics snapshot are not
-// hashed, although configurations that record them are memoized like any
-// other (RecordMisps, RecordPipeline and CollectMetrics are in
-// Config.Key).
+// serialization, plus the number of misprediction events. The events'
+// contents and the Metrics snapshot are not hashed, although
+// configurations that record them are memoized like any other
+// (RecordMisps and CollectMetrics are in Config.Key).
 func (r *Result) Fingerprint() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v/%d/%d", r.Stats, len(r.MispEvents), len(r.Pipeline))
+	fmt.Fprintf(h, "%+v/%d", r.Stats, len(r.MispEvents))
 	return h.Sum64()
 }
 

@@ -60,13 +60,14 @@ func FuzzDetailedMachine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, machine uint8, window uint16, width, segment, completion uint8, knobs uint16) {
 		c := fuzzConfig(machine, window, width, segment, completion, knobs)
 		c.Check = true
-		c.RecordMisps, c.RecordPipeline, c.RecordSquashed = true, true, true
-		c.PipelineLimit = timingPipeLimit
+		c.RecordMisps = true
 		p := progen.Generate(seed, progen.Config{})
 		pre, err := Prepare(p, 0)
 		if err != nil {
 			t.Skip(err)
 		}
+		recs, recsAgain := &PipeRecorder{}, &PipeRecorder{}
+		c.Tracer = recs
 		r, err := RunPrepared(p, c, pre)
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
@@ -74,6 +75,7 @@ func FuzzDetailedMachine(f *testing.F) {
 		if r.Stats.Retired != uint64(pre.golden.n) {
 			t.Fatalf("%+v: retired %d of %d golden instructions", c, r.Stats.Retired, pre.golden.n)
 		}
+		c.Tracer = recsAgain
 		again, err := RunPrepared(p, c, pre)
 		if err != nil {
 			t.Fatalf("%+v: second run: %v", c, err)
@@ -81,7 +83,7 @@ func FuzzDetailedMachine(f *testing.F) {
 		if again.Stats != r.Stats {
 			t.Fatalf("%+v: a second run over the same Prep differs:\n  first  %+v\n  second %+v", c, r.Stats, again.Stats)
 		}
-		if !reflect.DeepEqual(again.MispEvents, r.MispEvents) || !reflect.DeepEqual(again.Pipeline, r.Pipeline) {
+		if !reflect.DeepEqual(again.MispEvents, r.MispEvents) || !reflect.DeepEqual(recsAgain.Recs, recs.Recs) {
 			t.Fatalf("%+v: a second run over the same Prep records different events or pipeline records", c)
 		}
 	})

@@ -23,11 +23,6 @@ var update = flag.Bool("update", false, "rewrite testdata/golden_timing.json fro
 
 const timingFile = "testdata/golden_timing.json"
 
-// timingPipeLimit caps the pipeline recording of the golden and fuzz
-// runs. Every golden run retires and squashes far fewer instructions,
-// which the test asserts, so the digest covers every record of the run.
-const timingPipeLimit = 1 << 22
-
 // timingRow is one pinned (program, configuration) run of the detailed
 // machine: the complete Stats plus digests of every misprediction event
 // and every pipeline record, squashed ones included, so a drift of one
@@ -181,9 +176,10 @@ func mispDigest(evs []MispEvent) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// pipeDigest hashes every pipeline record: sequence number, PC, the five
-// stage cycles, the issue count and the three flags. The instruction is a
-// function of the PC and is left out.
+// pipeDigest hashes every pipeline record: sequence number, PC, the
+// fetch, issue, completion, resolution and retire cycles, the issue count
+// and the three flags. The instruction is a function of the PC and is
+// left out, and so is RenameC, which the golden file predates.
 func pipeDigest(recs []PipeRecord) string {
 	h := sha256.New()
 	var b [8*8 + 3]byte
@@ -234,8 +230,9 @@ func TestGoldenTiming(t *testing.T) {
 	check := func(program string, p *prog.Program, pre *Prep, label string, c Config) {
 		t.Helper()
 		c.MaxInstrs = pre.maxInstrs
-		c.RecordMisps, c.RecordPipeline, c.RecordSquashed = true, true, true
-		c.PipelineLimit = timingPipeLimit
+		c.RecordMisps = true
+		recs := &PipeRecorder{}
+		c.Tracer = recs
 		row := timingRow{Program: program, Config: label}
 		defer func() {
 			if r := recover(); r != nil {
@@ -246,10 +243,7 @@ func TestGoldenTiming(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", row.name(), err)
 		}
-		if len(r.Pipeline) >= timingPipeLimit {
-			t.Fatalf("%s: %d pipeline records reach the recording cap", row.name(), len(r.Pipeline))
-		}
-		row.Stats, row.Misps, row.Pipe = r.Stats, mispDigest(r.MispEvents), pipeDigest(r.Pipeline)
+		row.Stats, row.Misps, row.Pipe = r.Stats, mispDigest(r.MispEvents), pipeDigest(recs.Recs)
 		got = append(got, row)
 		if *update {
 			return

@@ -1,27 +1,25 @@
 package ooo
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"sort"
 	"strings"
 
 	"cisim/internal/isa"
 )
 
-// PipeRecord captures one retired instruction's trip through the
-// pipeline, recorded when Config.RecordPipeline is set. Cycles are
-// absolute simulation cycles; IssueC is the *last* issue (selective
-// reissue means an instruction can issue several times — Issues counts
-// them all).
+// PipeRecord captures one dynamic instruction's trip through the
+// pipeline: the record Tracer.TraceEnd receives when the instruction
+// retires or is squashed. Cycles are absolute simulation cycles; IssueC
+// is the *last* issue (selective reissue means an instruction can issue
+// several times — Issues counts them all).
 type PipeRecord struct {
-	Seq    uint64
-	PC     uint64
-	Inst   isa.Inst
-	FetchC int64
-	IssueC int64 // last issue; -1 if the instruction never issued
-	DoneC  int64 // completion (result available); -1 if it never completed
+	Seq     uint64
+	PC      uint64
+	Inst    isa.Inst
+	FetchC  int64
+	RenameC int64 // entry into the window; -1 if it never entered
+	IssueC  int64 // last issue; -1 if the instruction never issued
+	DoneC   int64 // completion (result available); -1 if it never completed
 	// ResolveC is the cycle a control instruction's outcome completed
 	// under the configured completion model (§A.2.1 gating); -1 for
 	// non-control instructions.
@@ -34,32 +32,38 @@ type PipeRecord struct {
 	// Reissued marks a survivor that was forced to reissue afterwards
 	// (new register names or violated memory speculation).
 	Reissued bool
-	// Squashed marks wrong-path work (recorded only under
-	// Config.RecordSquashed); RetireC is then the squash cycle.
+	// Squashed marks wrong-path (or displaced) work; RetireC is then the
+	// squash cycle.
 	Squashed bool
 }
 
-const defaultPipelineLimit = 10_000
-
-// recordSquashedPipe records a squashed dyn (RecordSquashed): same shape
-// as a retired record, flagged and stamped with the squash cycle.
-func (m *machine) recordSquashedPipe(d *dyn) {
-	n := len(m.pipeRecs)
-	m.recordPipe(d)
-	if len(m.pipeRecs) > n {
-		m.pipeRecs[len(m.pipeRecs)-1].Squashed = true
-	}
+// PipeRecorder is a Tracer that keeps every TraceEnd record in terminal
+// order, squashed ones included, for the ASCII timeline ('cisim pipe')
+// and tests. It has no limit: bound a long run with Config.MaxInstrs.
+type PipeRecorder struct {
+	Recs []PipeRecord
 }
 
-func (m *machine) recordPipe(d *dyn) {
-	limit := m.cfg.PipelineLimit
-	if limit <= 0 {
-		limit = defaultPipelineLimit
-	}
-	if len(m.pipeRecs) >= limit {
-		return
-	}
-	issueC, doneC := d.lastIssueC, d.doneC
+// TraceFetch implements Tracer.
+func (*PipeRecorder) TraceFetch(seq, pc uint64, in isa.Inst, cycle int64) {}
+
+// TraceRename implements Tracer.
+func (*PipeRecorder) TraceRename(seq uint64, cycle int64) {}
+
+// TraceIssue implements Tracer.
+func (*PipeRecorder) TraceIssue(seq uint64, cycle int64) {}
+
+// TraceComplete implements Tracer.
+func (*PipeRecorder) TraceComplete(seq uint64, cycle int64) {}
+
+// TraceEnd implements Tracer.
+func (p *PipeRecorder) TraceEnd(r *PipeRecord) { p.Recs = append(p.Recs, *r) }
+
+// traceEnd reports d's terminal event to the tracer: its retirement, or
+// its squash when squashed is set, at the current cycle. The record is
+// the machine's own and is refilled for every call.
+func (m *machine) traceEnd(d *dyn, squashed bool) {
+	issueC := d.lastIssueC
 	if d.issues == 0 {
 		issueC = -1
 	}
@@ -67,83 +71,25 @@ func (m *machine) recordPipe(d *dyn) {
 	if d.isCtl && d.ctlDone {
 		resolveC = d.ctlDoneC
 	}
-	m.pipeRecs = append(m.pipeRecs, PipeRecord{
+	m.endRec = PipeRecord{
 		Seq:      d.seq,
 		PC:       d.pc,
 		Inst:     d.inst,
 		FetchC:   d.fetchC,
+		RenameC:  d.renameC,
 		IssueC:   issueC,
-		DoneC:    doneC,
+		DoneC:    d.doneC,
 		ResolveC: resolveC,
 		RetireC:  m.cycle,
 		Issues:   d.issues,
 		Saved:    d.saved != savedNo,
 		Reissued: d.reissuedAfter,
-	})
+		Squashed: squashed,
+	}
+	m.trc.TraceEnd(&m.endRec)
 }
 
-// WriteKanata emits records in the Kanata log format (version 0004) that
-// the Konata pipeline visualizer reads. Stages are synthesized from the
-// record timestamps: F (fetch) from FetchC, X (execute) from the last
-// issue, C (complete) from DoneC, and retirement at RetireC. Only retired
-// instructions are recorded (squashed wrong-path work never reaches the
-// recording point), so every R line is a commit, never a flush.
-func WriteKanata(w io.Writer, recs []PipeRecord) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "Kanata\t0004\n")
-	if len(recs) == 0 {
-		return bw.Flush()
-	}
-	base := recs[0].FetchC
-	for i := range recs {
-		if recs[i].FetchC < base {
-			base = recs[i].FetchC
-		}
-	}
-	fmt.Fprintf(bw, "C=\t%d\n", base)
-	cycle := base
-	// Events per cycle, replayed in cycle order.
-	type ev struct {
-		cyc  int64
-		line string
-	}
-	var evs []ev
-	add := func(cyc int64, format string, args ...interface{}) {
-		if cyc < base {
-			return
-		}
-		evs = append(evs, ev{cyc, fmt.Sprintf(format, args...)})
-	}
-	for i := range recs {
-		r := &recs[i]
-		id := i
-		add(r.FetchC, "I\t%d\t%d\t0", id, r.Seq)
-		add(r.FetchC, "L\t%d\t0\t%#x: %s", id, r.PC, r.Inst.String())
-		add(r.FetchC, "S\t%d\t0\tF", id)
-		if r.IssueC >= 0 {
-			add(r.IssueC, "S\t%d\t0\tX", id)
-		}
-		if r.DoneC >= 0 {
-			add(r.DoneC, "S\t%d\t0\tC", id)
-		}
-		if r.Squashed {
-			add(r.RetireC, "R\t%d\t%d\t1", id, id) // flush
-		} else {
-			add(r.RetireC, "R\t%d\t%d\t0", id, id) // commit
-		}
-	}
-	sort.SliceStable(evs, func(a, b int) bool { return evs[a].cyc < evs[b].cyc })
-	for _, e := range evs {
-		if e.cyc > cycle {
-			fmt.Fprintf(bw, "C\t%d\n", e.cyc-cycle)
-			cycle = e.cyc
-		}
-		fmt.Fprintln(bw, e.line)
-	}
-	return bw.Flush()
-}
-
-// RenderPipeline draws records as an ASCII timeline, one row per retired
+// RenderPipeline draws records as an ASCII timeline, one row per
 // instruction:
 //
 //	F  fetch            .  in flight

@@ -1,7 +1,7 @@
 package ooo
 
 import (
-	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,20 +9,41 @@ import (
 	"cisim/internal/workloads"
 )
 
+// record runs src like runSrc with a PipeRecorder attached and returns
+// the result and every terminal record, squashed ones included.
+func record(t *testing.T, src string, c Config) (*Result, []PipeRecord) {
+	t.Helper()
+	rec := &PipeRecorder{}
+	c.Tracer = rec
+	return runSrc(t, src, c), rec.Recs
+}
+
+// retiredOnly drops the squashed records.
+func retiredOnly(recs []PipeRecord) []PipeRecord {
+	var out []PipeRecord
+	for _, r := range recs {
+		if !r.Squashed {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 func TestRecordPipelineTimestamps(t *testing.T) {
-	r := runSrc(t, tinyLoop, Config{Machine: Base, WindowSize: 64, RecordPipeline: true})
-	if uint64(len(r.Pipeline)) != r.Stats.Retired {
-		t.Fatalf("recorded %d, retired %d", len(r.Pipeline), r.Stats.Retired)
+	r, recs := record(t, tinyLoop, Config{Machine: Base, WindowSize: 64})
+	recs = retiredOnly(recs)
+	if uint64(len(recs)) != r.Stats.Retired {
+		t.Fatalf("recorded %d, retired %d", len(recs), r.Stats.Retired)
 	}
 	var prevRetire int64
-	for i := range r.Pipeline {
-		p := &r.Pipeline[i]
+	for i := range recs {
+		p := &recs[i]
 		if p.Issues < 1 {
 			t.Fatalf("record %d: retired without issuing (%v)", i, p.Inst)
 		}
-		if p.FetchC > p.IssueC || p.IssueC > p.DoneC || p.DoneC >= p.RetireC {
-			t.Errorf("record %d: non-causal timing F=%d I=%d C=%d R=%d",
-				i, p.FetchC, p.IssueC, p.DoneC, p.RetireC)
+		if p.FetchC >= p.RenameC || p.RenameC >= p.IssueC || p.IssueC > p.DoneC || p.DoneC >= p.RetireC {
+			t.Errorf("record %d: non-causal timing F=%d D=%d I=%d C=%d R=%d",
+				i, p.FetchC, p.RenameC, p.IssueC, p.DoneC, p.RetireC)
 		}
 		if p.RetireC < prevRetire {
 			t.Errorf("record %d: retirement went backwards (%d after %d)",
@@ -32,22 +53,20 @@ func TestRecordPipelineTimestamps(t *testing.T) {
 	}
 }
 
+// TestRecordPipelineLimit bounds a recording with MaxInstrs: the bounded
+// run records exactly what the unbounded one does up to its last
+// retirement, which is what 'cisim pipe' relies on.
 func TestRecordPipelineLimit(t *testing.T) {
-	r := runSrc(t, tinyLoop, Config{
-		Machine: Base, WindowSize: 64, RecordPipeline: true, PipelineLimit: 10,
-	})
-	if len(r.Pipeline) != 10 {
-		t.Errorf("recorded %d, want the 10-record cap", len(r.Pipeline))
+	_, full := record(t, tinyLoop, Config{Machine: Base, WindowSize: 64})
+	_, cut := record(t, tinyLoop, Config{Machine: Base, WindowSize: 64, MaxInstrs: 10})
+	if n := len(retiredOnly(cut)); n != 10 {
+		t.Errorf("recorded %d retirements, want the 10-instruction bound", n)
 	}
-	if r.Stats.Retired <= 10 {
-		t.Fatal("program too short to exercise the cap")
+	if len(retiredOnly(full)) <= 10 {
+		t.Fatal("program too short to exercise the bound")
 	}
-}
-
-func TestRecordPipelineOffByDefault(t *testing.T) {
-	r := runSrc(t, tinyLoop, Config{Machine: Base, WindowSize: 64})
-	if len(r.Pipeline) != 0 {
-		t.Errorf("pipeline recorded without RecordPipeline: %d records", len(r.Pipeline))
+	if !reflect.DeepEqual(cut, full[:len(cut)]) {
+		t.Error("the bounded run's records differ from the unbounded run's prefix")
 	}
 }
 
@@ -55,12 +74,11 @@ func TestRecordPipelineSurvivors(t *testing.T) {
 	// The LCG diamond preserves CI instructions across restarts; the
 	// join block's consumers reissue from new names. Both flags must
 	// show up in the records and agree with the Stats totals.
-	r := runSrc(t, lcgDiamond, Config{
-		Machine: CI, WindowSize: 128, RecordPipeline: true, PipelineLimit: 1 << 20,
-	})
+	r, recs := record(t, lcgDiamond, Config{Machine: CI, WindowSize: 128})
+	recs = retiredOnly(recs)
 	var saved, reissued, multiIssue int
-	for i := range r.Pipeline {
-		p := &r.Pipeline[i]
+	for i := range recs {
+		p := &recs[i]
 		if p.Saved {
 			saved++
 		}
@@ -139,63 +157,6 @@ func TestRenderPipelineNeverIssued(t *testing.T) {
 	}
 }
 
-func TestWriteKanata(t *testing.T) {
-	recs := []PipeRecord{
-		{Seq: 7, PC: 0x1000, Inst: isa.Inst{Op: isa.ADDI, Rd: 1, Imm: 5},
-			FetchC: 10, IssueC: 12, DoneC: 13, RetireC: 15, Issues: 1},
-		{Seq: 8, PC: 0x1004, Inst: isa.Inst{Op: isa.MUL, Rd: 2, Rs1: 1, Rs2: 1},
-			FetchC: 10, IssueC: 14, DoneC: 17, RetireC: 18, Issues: 1},
-	}
-	var buf strings.Builder
-	if err := WriteKanata(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if lines[0] != "Kanata\t0004" {
-		t.Fatalf("bad header %q", lines[0])
-	}
-	if lines[1] != "C=\t10" {
-		t.Fatalf("bad start cycle %q", lines[1])
-	}
-	for _, want := range []string{
-		"I\t0\t7\t0", "L\t0\t0\t0x1000: addi r1, r0, 5",
-		"S\t0\t0\tF", "S\t0\t0\tX", "S\t0\t0\tC",
-		"R\t0\t0\t0", "R\t1\t1\t0",
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Errorf("missing line %q in:\n%s", want, out)
-		}
-	}
-	// Cycle advances must sum to the span from first fetch to last retire.
-	var total int64
-	for _, l := range lines {
-		if strings.HasPrefix(l, "C\t") {
-			var d int64
-			if _, err := fmt.Sscanf(l, "C\t%d", &d); err != nil {
-				t.Fatalf("bad cycle line %q", l)
-			}
-			if d <= 0 {
-				t.Errorf("non-positive cycle advance %q", l)
-			}
-			total += d
-		}
-	}
-	if total != 8 { // cycles 10..18
-		t.Errorf("cycle advances sum to %d, want 8", total)
-	}
-}
-
-func TestWriteKanataEmpty(t *testing.T) {
-	var buf strings.Builder
-	if err := WriteKanata(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "Kanata\t0004\n" {
-		t.Errorf("empty export should be header-only, got %q", buf.String())
-	}
-}
-
 func TestResolveOrderUnderCompletionModels(t *testing.T) {
 	// §A.2.1: spec-D and non-spec complete branches in order, so on the
 	// BASE machine (no mid-window insertion) retired conditional branches
@@ -205,13 +166,12 @@ func TestResolveOrderUnderCompletionModels(t *testing.T) {
 	w, _ := workloads.Get("xgcc")
 	p := w.Program(300)
 	resolves := func(cm Completion) []int64 {
-		r := runProg(t, p, Config{
-			Machine: Base, WindowSize: 256, Completion: cm,
-			RecordPipeline: true, PipelineLimit: 1 << 20, Check: true,
+		recs := &PipeRecorder{}
+		runProg(t, p, Config{
+			Machine: Base, WindowSize: 256, Completion: cm, Check: true, Tracer: recs,
 		})
 		var out []int64
-		for i := range r.Pipeline {
-			rec := &r.Pipeline[i]
+		for _, rec := range retiredOnly(recs.Recs) {
 			if rec.Inst.IsCondBranch() {
 				if rec.ResolveC < 0 {
 					t.Fatalf("%v: retired branch without ResolveC", cm)
@@ -247,13 +207,10 @@ func TestResolveOrderUnderCompletionModels(t *testing.T) {
 }
 
 func TestRecordSquashed(t *testing.T) {
-	r := runSrc(t, lcgDiamond, Config{
-		Machine: Base, WindowSize: 128,
-		RecordPipeline: true, RecordSquashed: true, PipelineLimit: 1 << 20,
-	})
+	r, recs := record(t, lcgDiamond, Config{Machine: Base, WindowSize: 128})
 	var squashed, retired int
-	for i := range r.Pipeline {
-		rec := &r.Pipeline[i]
+	for i := range recs {
+		rec := &recs[i]
 		if rec.Squashed {
 			squashed++
 			if rec.Saved {
@@ -276,22 +233,16 @@ func TestRecordSquashed(t *testing.T) {
 
 	// The CI machine preserves most of the join block: squashed counts
 	// must drop sharply for the same program.
-	ci := runSrc(t, lcgDiamond, Config{
-		Machine: CI, WindowSize: 128,
-		RecordPipeline: true, RecordSquashed: true, PipelineLimit: 1 << 20,
-	})
-	var ciSquashed int
-	for i := range ci.Pipeline {
-		if ci.Pipeline[i].Squashed {
-			ciSquashed++
-		}
-	}
+	_, ciRecs := record(t, lcgDiamond, Config{Machine: CI, WindowSize: 128})
+	ciSquashed := len(ciRecs) - len(retiredOnly(ciRecs))
 	if ciSquashed*2 > squashed {
 		t.Errorf("CI squashed %d records, BASE %d; selective squash should save most",
 			ciSquashed, squashed)
 	}
 }
 
+// TestKanataFlushLines: the timeline marks a squashed record with Q and
+// an annotation.
 func TestKanataFlushLines(t *testing.T) {
 	recs := []PipeRecord{
 		{Seq: 1, PC: 0x1000, Inst: isa.Inst{Op: isa.ADDI, Rd: 1},
@@ -299,18 +250,6 @@ func TestKanataFlushLines(t *testing.T) {
 		{Seq: 2, PC: 0x1004, Inst: isa.Inst{Op: isa.ADDI, Rd: 2},
 			FetchC: 3, IssueC: 5, DoneC: 6, RetireC: 7, Issues: 1, Squashed: true},
 	}
-	var buf strings.Builder
-	if err := WriteKanata(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "R\t0\t0\t0\n") {
-		t.Errorf("missing commit line:\n%s", out)
-	}
-	if !strings.Contains(out, "R\t1\t1\t1\n") {
-		t.Errorf("missing flush line:\n%s", out)
-	}
-	// Timeline marks the squash with Q and an annotation.
 	txt := RenderPipeline(recs, 20)
 	if !strings.Contains(txt, "Q") || !strings.Contains(txt, "squashed") {
 		t.Errorf("timeline missing squash markers:\n%s", txt)

@@ -397,8 +397,8 @@ func (m *machine) observeRestartPenalty(act *restartSeq) {
 func (m *machine) countWrongPath(c *dyn) {
 	m.stats.WrongPathFetched++
 	m.stats.WrongPathIssues += uint64(c.issues)
-	if m.cfg.RecordPipeline && m.cfg.RecordSquashed {
-		m.recordSquashedPipe(c)
+	if m.trc != nil {
+		m.traceEnd(c, true)
 	}
 }
 
@@ -418,9 +418,6 @@ func (m *machine) squashCD(c *dyn) {
 func (m *machine) dropFetchBuf() {
 	for _, c := range m.fetchBuf {
 		m.countWrongPath(c)
-		if m.trc != nil {
-			m.trc.TraceSquash(c.seq, m.cycle)
-		}
 	}
 	m.fetchBuf = m.fetchBuf[:0]
 }
@@ -547,9 +544,7 @@ func (m *machine) continueRestart() {
 			m.countWrongPath(tail)
 			m.squashDyn(tail)
 		}
-		if !m.fillGap(act, m.newDyn(&act.fetchCtx, in)) {
-			return // could not place this cycle; retry next
-		}
+		m.fillGap(act, m.newDyn(&act.fetchCtx, in))
 		if in.Op == isa.HALT {
 			// The correct path exits before reconverging: anything
 			// preserved beyond this point is architecturally
@@ -561,13 +556,13 @@ func (m *machine) continueRestart() {
 }
 
 // fillGap inserts a restart-fetched instruction after the restart's last
-// insertion and renames it from the restart's map. It returns false when
-// no segment is free this cycle; the instruction is then dropped and the
-// restart's PC stays, so the next cycle fetches it again.
-func (m *machine) fillGap(act *restartSeq, d *dyn) bool {
+// insertion and renames it from the restart's map. The caller's
+// make-room loop leaves a free segment or a fill segment with space,
+// exactly what insertAfter needs, so a nil segment is an engine bug.
+func (m *machine) fillGap(act *restartSeq, d *dyn) {
 	seg := m.win.insertAfter(act.lastIns, act.fillSeg, d)
 	if seg == nil {
-		return false
+		panic("ooo: restart fill has no room after the make-room loop")
 	}
 	m.dropGoldPrefix(d)
 	act.fillSeg = seg
@@ -575,7 +570,6 @@ func (m *machine) fillGap(act *restartSeq, d *dyn) bool {
 	act.insert++
 	m.renameWith(d, &act.rmap)
 	act.pc = d.assumedTarget
-	return true
 }
 
 // reissueLoadsAfterStoreSquash reissues every live load after from whose
@@ -614,6 +608,7 @@ func (m *machine) renameWith(d *dyn, rmap *regMap) {
 	if d.hasRd {
 		rmap[d.dest] = d
 	}
+	d.renameC = m.cycle
 	if m.trc != nil {
 		m.trc.TraceRename(d.seq, m.cycle)
 	}

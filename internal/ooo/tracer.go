@@ -23,127 +23,90 @@ import (
 // seq is the fetch-order sequence number (unique per dynamic
 // instruction, wrong paths included); cycle is the absolute simulation
 // cycle of the transition. Calls arrive in non-decreasing cycle order.
-// Every instruction gets exactly one TraceFetch and exactly one terminal
-// event — TraceRetire or TraceSquash — with any number of TraceIssue /
+// Every instruction gets exactly one TraceFetch and exactly one TraceEnd,
+// at its retirement or its squash, with any number of TraceIssue /
 // TraceComplete pairs in between (selective reissue re-executes
 // instructions). TraceRename fires when the instruction enters the
 // window (dispatch, or mid-window insertion by a restart sequence).
+//
+// TraceEnd's record summarizes the instruction's whole trip (see
+// PipeRecord); it belongs to the machine and is valid only during the
+// call, so a tracer that keeps it copies it.
 type Tracer interface {
 	TraceFetch(seq, pc uint64, in isa.Inst, cycle int64)
 	TraceRename(seq uint64, cycle int64)
 	TraceIssue(seq uint64, cycle int64)
 	TraceComplete(seq uint64, cycle int64)
-	TraceRetire(seq uint64, cycle int64)
-	TraceSquash(seq uint64, cycle int64)
+	TraceEnd(r *PipeRecord)
 }
 
-// squashDyn squashes one window entry, notifying the tracer first. The
-// window's squash is idempotent and recovery paths can revisit entries,
-// so the guard mirrors window.squash's: exactly one terminal trace event
-// per instruction. The entry also leaves goldSync's verified prefix and
-// releases its consumer list.
+// squashDyn squashes one window entry. The window's squash is idempotent
+// and recovery paths can revisit entries, so the guard mirrors
+// window.squash's. The entry also leaves goldSync's verified prefix and
+// releases its consumer list. The squash's TraceEnd comes from
+// countWrongPath, which every squashed instruction passes exactly once.
 func (m *machine) squashDyn(c *dyn) {
 	if c.squashed || c.retired {
 		return
-	}
-	if m.trc != nil {
-		m.trc.TraceSquash(c.seq, m.cycle)
 	}
 	m.dropGoldPrefix(c)
 	m.win.squash(c)
 	m.releaseConsumers(c)
 }
 
-// traceRec accumulates one in-flight instruction's stage cycles inside
-// JSONLTracer. At most window-size + fetch-width records are live at
-// once.
-type traceRec struct {
-	pc       uint64
-	op       string
-	fetch    int64
-	rename   int64
-	issue    int64
-	complete int64
-	issues   int
-}
-
 // JSONLTracer writes one compact JSON line per dynamic instruction that
 // reaches a terminal state (retire or squash), in terminal-event order —
-// a deterministic order, since the simulation is. Missing stages are
-// omitted: an instruction squashed in the fetch buffer has no "rename";
-// one that never issued has no "issue"/"complete". "issue" and
-// "complete" are the *last* such events; "issues" counts issue events
-// (selective reissue makes it exceed 1).
+// a deterministic order, since the simulation is. Each line encodes the
+// TraceEnd record. Missing stages are omitted: an instruction squashed in
+// the fetch buffer has no "rename"; one that never issued has no
+// "issue"/"complete". "issue" and "complete" are the *last* such events;
+// "issues" counts issue events (selective reissue makes it exceed 1).
 type JSONLTracer struct {
-	w        *bufio.Writer
-	inflight map[uint64]*traceRec
-	err      error
+	w   *bufio.Writer
+	err error
 }
 
 // NewJSONLTracer returns a tracer emitting JSON lines to w. Call Flush
 // when the run completes.
 func NewJSONLTracer(w io.Writer) *JSONLTracer {
-	return &JSONLTracer{w: bufio.NewWriter(w), inflight: make(map[uint64]*traceRec)}
+	return &JSONLTracer{w: bufio.NewWriter(w)}
 }
 
 // TraceFetch implements Tracer.
-func (t *JSONLTracer) TraceFetch(seq, pc uint64, in isa.Inst, cycle int64) {
-	t.inflight[seq] = &traceRec{pc: pc, op: in.String(), fetch: cycle, rename: -1, issue: -1, complete: -1}
-}
+func (t *JSONLTracer) TraceFetch(seq, pc uint64, in isa.Inst, cycle int64) {}
 
 // TraceRename implements Tracer.
-func (t *JSONLTracer) TraceRename(seq uint64, cycle int64) {
-	if r := t.inflight[seq]; r != nil {
-		r.rename = cycle
-	}
-}
+func (t *JSONLTracer) TraceRename(seq uint64, cycle int64) {}
 
 // TraceIssue implements Tracer.
-func (t *JSONLTracer) TraceIssue(seq uint64, cycle int64) {
-	if r := t.inflight[seq]; r != nil {
-		r.issue = cycle
-		r.issues++
-	}
-}
+func (t *JSONLTracer) TraceIssue(seq uint64, cycle int64) {}
 
 // TraceComplete implements Tracer.
-func (t *JSONLTracer) TraceComplete(seq uint64, cycle int64) {
-	if r := t.inflight[seq]; r != nil {
-		r.complete = cycle
-	}
-}
+func (t *JSONLTracer) TraceComplete(seq uint64, cycle int64) {}
 
-// TraceRetire implements Tracer.
-func (t *JSONLTracer) TraceRetire(seq uint64, cycle int64) { t.emit(seq, "retire", cycle) }
-
-// TraceSquash implements Tracer.
-func (t *JSONLTracer) TraceSquash(seq uint64, cycle int64) { t.emit(seq, "squash", cycle) }
-
-func (t *JSONLTracer) emit(seq uint64, end string, cycle int64) {
-	r := t.inflight[seq]
-	if r == nil {
-		return
-	}
-	delete(t.inflight, seq)
+// TraceEnd implements Tracer.
+func (t *JSONLTracer) TraceEnd(r *PipeRecord) {
 	if t.err != nil {
 		return
 	}
-	_, err := fmt.Fprintf(t.w, `{"seq":%d,"pc":"%#x","op":%q,"fetch":%d`, seq, r.pc, r.op, r.fetch)
-	if err == nil && r.rename >= 0 {
-		_, err = fmt.Fprintf(t.w, `,"rename":%d`, r.rename)
+	_, err := fmt.Fprintf(t.w, `{"seq":%d,"pc":"%#x","op":%q,"fetch":%d`, r.Seq, r.PC, r.Inst.String(), r.FetchC)
+	if err == nil && r.RenameC >= 0 {
+		_, err = fmt.Fprintf(t.w, `,"rename":%d`, r.RenameC)
 	}
-	if err == nil && r.issue >= 0 {
-		_, err = fmt.Fprintf(t.w, `,"issue":%d,"issues":%d`, r.issue, r.issues)
+	if err == nil && r.IssueC >= 0 {
+		_, err = fmt.Fprintf(t.w, `,"issue":%d,"issues":%d`, r.IssueC, r.Issues)
 	}
-	if err == nil && r.complete >= 0 {
-		_, err = fmt.Fprintf(t.w, `,"complete":%d`, r.complete)
+	if err == nil && r.DoneC >= 0 {
+		_, err = fmt.Fprintf(t.w, `,"complete":%d`, r.DoneC)
 	}
 	if err == nil {
-		_, err = fmt.Fprintf(t.w, `,"%s":%d}`+"\n", end, cycle)
+		end := "retire"
+		if r.Squashed {
+			end = "squash"
+		}
+		_, err = fmt.Fprintf(t.w, `,"%s":%d}`+"\n", end, r.RetireC)
 	}
-	if err != nil && t.err == nil {
-		t.err = err
-	}
+	t.err = err
 }
 
 // Flush drains buffered output and reports the first write error.
@@ -157,11 +120,10 @@ func (t *JSONLTracer) Flush() error {
 }
 
 // KanataTracer streams a Kanata 0004 log (the format Konata renders) as
-// the simulation runs. Unlike WriteKanata, which post-processes retired
-// PipeRecords, this sees every fetched instruction and emits squashes as
-// flush retirements, so wrong-path work is visible in the viewer.
-// Stages: F (fetch), Dn (dispatch/rename), X (last issue), Cm (last
-// completion). Streaming is valid because Tracer events arrive in
+// the simulation runs. It sees every fetched instruction and emits
+// squashes as flush retirements, so wrong-path work is visible in the
+// viewer. Stages: F (fetch), Dn (dispatch/rename), X (last issue), Cm
+// (last completion). Streaming is valid because Tracer events arrive in
 // non-decreasing cycle order.
 type KanataTracer struct {
 	w       *bufio.Writer
@@ -232,21 +194,20 @@ func (t *KanataTracer) TraceIssue(seq uint64, cycle int64) { t.stage(seq, cycle,
 // TraceComplete implements Tracer.
 func (t *KanataTracer) TraceComplete(seq uint64, cycle int64) { t.stage(seq, cycle, "Cm") }
 
-func (t *KanataTracer) end(seq uint64, cycle int64, flush int) {
-	id, ok := t.ids[seq]
+// TraceEnd implements Tracer: an R line, a commit (0) or a flush (1).
+func (t *KanataTracer) TraceEnd(r *PipeRecord) {
+	id, ok := t.ids[r.Seq]
 	if !ok {
 		return
 	}
-	delete(t.ids, seq)
-	t.advance(cycle)
+	delete(t.ids, r.Seq)
+	t.advance(r.RetireC)
+	flush := 0
+	if r.Squashed {
+		flush = 1
+	}
 	t.printf("R\t%d\t%d\t%d\n", id, id, flush)
 }
-
-// TraceRetire implements Tracer.
-func (t *KanataTracer) TraceRetire(seq uint64, cycle int64) { t.end(seq, cycle, 0) }
-
-// TraceSquash implements Tracer.
-func (t *KanataTracer) TraceSquash(seq uint64, cycle int64) { t.end(seq, cycle, 1) }
 
 // Flush drains buffered output and reports the first write error.
 func (t *KanataTracer) Flush() error {

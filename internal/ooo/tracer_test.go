@@ -3,6 +3,7 @@ package ooo
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,12 +35,15 @@ func (r *recTracer) TraceFetch(seq, pc uint64, in isa.Inst, c int64) { r.at(c); 
 func (r *recTracer) TraceRename(seq uint64, c int64)                 { r.at(c) }
 func (r *recTracer) TraceIssue(seq uint64, c int64)                  { r.at(c) }
 func (r *recTracer) TraceComplete(seq uint64, c int64)               { r.at(c) }
-func (r *recTracer) TraceRetire(seq uint64, c int64) {
-	r.at(c)
-	r.terminal[seq] += "R"
+func (r *recTracer) TraceEnd(rec *PipeRecord) {
+	r.at(rec.RetireC)
+	if rec.Squashed {
+		r.terminal[rec.Seq] += "Q"
+		return
+	}
+	r.terminal[rec.Seq] += "R"
 	r.retires++
 }
-func (r *recTracer) TraceSquash(seq uint64, c int64) { r.at(c); r.terminal[seq] += "Q" }
 
 // TestTracerInvariants checks the Tracer contract on a recovery-heavy CI
 // run: one fetch per dynamic instruction, at most one terminal event,
@@ -132,6 +136,70 @@ func TestJSONLTracerDeterministic(t *testing.T) {
 	}
 	if !sawSquash {
 		t.Error("trace recorded no squashed instructions")
+	}
+}
+
+// TestOneRecordStream ties the JSONL encoder to the recorder: the same
+// run traced each way yields one stream, line i of the JSONL decoding to
+// record i's identity, stage cycles, issue count and terminal kind.
+func TestOneRecordStream(t *testing.T) {
+	w, _ := workloads.Get("xgo")
+	p := w.Program(200)
+	cfg := Config{Machine: CI, WindowSize: 128}
+	var buf bytes.Buffer
+	jt := NewJSONLTracer(&buf)
+	cfg.Tracer = jt
+	if _, err := Run(p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := jt.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rec := &PipeRecorder{}
+	cfg.Tracer = rec
+	if _, err := Run(p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if len(lines) != len(rec.Recs) {
+		t.Fatalf("%d JSONL lines, %d records", len(lines), len(rec.Recs))
+	}
+	squashes := 0
+	for i, ln := range lines {
+		var j struct {
+			Seq      uint64
+			PC       string
+			Fetch    int64
+			Rename   *int64
+			Issue    *int64
+			Issues   int
+			Complete *int64
+			Retire   *int64
+			Squash   *int64
+		}
+		if err := json.Unmarshal([]byte(ln), &j); err != nil {
+			t.Fatalf("line %d %q: %v", i, ln, err)
+		}
+		or := func(p *int64) int64 {
+			if p == nil {
+				return -1
+			}
+			return *p
+		}
+		r := &rec.Recs[i]
+		end, squashed := or(j.Retire), j.Squash != nil
+		if squashed {
+			end = *j.Squash
+			squashes++
+		}
+		got := [...]int64{int64(j.Seq), j.Fetch, or(j.Rename), or(j.Issue), int64(j.Issues), or(j.Complete), end}
+		want := [...]int64{int64(r.Seq), r.FetchC, r.RenameC, r.IssueC, int64(r.Issues), r.DoneC, r.RetireC}
+		if got != want || j.PC != fmt.Sprintf("%#x", r.PC) || squashed != r.Squashed {
+			t.Fatalf("line %d %q disagrees with record %+v", i, ln, *r)
+		}
+	}
+	if squashes == 0 {
+		t.Error("the run squashed nothing; the test needs both terminal kinds")
 	}
 }
 

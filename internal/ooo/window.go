@@ -40,6 +40,7 @@ type dyn struct {
 	issues     int
 	doneC      int64
 	fetchC     int64
+	renameC    int64 // window entry; -1 until then
 	lastIssueC int64
 
 	// Memory state.
@@ -94,11 +95,12 @@ func (d *dyn) String() string {
 	return fmt.Sprintf("#%d pc=%#x %v", d.seq, d.pc, d.inst)
 }
 
-// operandsCommitted reports whether every register source other than r0
-// comes from a retired producer, so its value is architectural.
+// operandsCommitted reports whether every register source reads committed
+// state — no producer (r0, or renamed after its producer retired) or a
+// retired one — so its value is architectural.
 func (d *dyn) operandsCommitted() bool {
 	for i := 0; i < d.nsrc; i++ {
-		if p := d.src[i]; d.srcReg[i] != isa.RZero && (p == nil || !p.retired) {
+		if p := d.src[i]; p != nil && !p.retired {
 			return false
 		}
 	}
