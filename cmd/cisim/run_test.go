@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -42,12 +44,13 @@ func TestCmdRunJobsDeterminism(t *testing.T) {
 // TestCmdRunIdentityMatrix pins the perf-rewrite acceptance bar end to
 // end: `run -quick -json all` must be byte-identical across -jobs 1 and
 // -jobs 8, cold and warm in-process caches, and cold and warm persistent
-// stores. The warm in-process legs are the shared-prep fast path — the
-// second sweep replays the memoized ideal.Prep through RunPrepared (the
-// prep-hit assertion below proves that path actually ran) — and the warm
-// store leg replays results from disk after the in-memory cache is
-// dropped, so a serialization or fingerprint bug cannot hide behind the
-// memory cache.
+// stores, and across commits: the cold reference must hash to the "all"
+// digest that perfbench/digests.json commits. The warm in-process legs
+// are the shared-prep fast path — the second sweep replays the memoized
+// ideal.Prep through RunPrepared (the prep-hit assertion below proves
+// that path actually ran) — and the warm store leg replays results from
+// disk after the in-memory cache is dropped, so a serialization or
+// fingerprint bug cannot hide behind the memory cache.
 func TestCmdRunIdentityMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full quick sweeps; the non-short run covers this")
@@ -64,6 +67,9 @@ func TestCmdRunIdentityMatrix(t *testing.T) {
 	}
 	runner.Artifacts.Reset()
 	ref := sweep("-jobs", "1", "all")
+	if got, want := sha256Hex(ref), committedDigest(t, "all"); got != want {
+		t.Errorf("run -quick -json all hashes to %s, perfbench/digests.json commits %s", got, want)
+	}
 
 	events := t.TempDir() + "/warm.jsonl"
 	if got := sweep("-jobs", "1", "-events", events, "all"); got != ref {
@@ -93,6 +99,30 @@ func TestCmdRunIdentityMatrix(t *testing.T) {
 		t.Errorf("warm store-backed run differs (len %d vs %d)", len(got), len(ref))
 	}
 	runner.Artifacts.Reset()
+}
+
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+// committedDigest reads one result digest from the benchmark's
+// perfbench/digests.json.
+func committedDigest(t *testing.T, label string) string {
+	t.Helper()
+	data, err := os.ReadFile("../../perfbench/digests.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digests map[string]string
+	if err := json.Unmarshal(data, &digests); err != nil {
+		t.Fatal(err)
+	}
+	d, ok := digests[label]
+	if !ok {
+		t.Fatalf("perfbench/digests.json has no %q digest", label)
+	}
+	return d
 }
 
 // TestRenderOutcomesAggregatesErrors: one failing experiment makes the

@@ -3,15 +3,15 @@ package ooo
 import "sync"
 
 // runMem recycles one simulation's slab allocations across runs. The
-// simulator batch-allocates dyns, segments, and slot arrays in chunks
-// that die with the machine (no *dyn, segment, or window buffer escapes
-// into a Result — results copy values), so a finished run can hand its
-// chunks to the next run instead of leaving tens of megabytes per run
-// for the garbage collector to zero, mark, and sweep. Segment chunks
-// carry a zero-value guarantee and are cleared on reuse; dyns are zeroed
-// one at a time as allocDyn hands them out, in cache just before newDyn
-// writes them; slot arrays, consumer-list nodes and the live-order cache
-// are always written before they are read and skip the memclr.
+// simulator batch-allocates dyns and segments in chunks that die with
+// the machine (no *dyn, segment, or window buffer escapes into a Result —
+// results copy values), so a finished run can hand its chunks to the
+// next run instead of leaving tens of megabytes per run for the garbage
+// collector to zero, mark, and sweep. Segment chunks carry a zero-value
+// guarantee and are cleared on reuse; dyns are zeroed one at a time as
+// allocDyn hands them out, in cache just before newDyn writes them;
+// consumer-list nodes and the live-order array are always written before
+// they are read and skip the memclr.
 //
 // A runMem is owned by exactly one machine between getRunMem and
 // machine.release; the pool makes concurrent sweeps safe.
@@ -21,9 +21,6 @@ type runMem struct {
 
 	segChunks [][]segment
 	segNext   int
-
-	slotChunks [][]*dyn
-	slotNext   int
 
 	liveCache []*dyn
 	liveFlags []uint8
@@ -52,7 +49,7 @@ func (m *machine) release() {
 	r.liveCache = m.win.liveCache[:0]
 	r.liveFlags = m.win.liveFlags[:0]
 	r.cons = m.cons[:0]
-	r.dynNext, r.segNext, r.slotNext = 0, 0, 0
+	r.dynNext, r.segNext = 0, 0
 	memPool.Put(r)
 }
 
@@ -86,27 +83,5 @@ func (r *runMem) segChunk() []segment {
 	c := make([]segment, segChunkSize)
 	r.segChunks = append(r.segChunks, c)
 	r.segNext = len(r.segChunks)
-	return c
-}
-
-// slotChunk returns a backing array of at least n slot pointers. Slots
-// are written before they are read, so reused chunks are not cleared.
-func (r *runMem) slotChunk(n int) []*dyn {
-	if r.slotNext < len(r.slotChunks) {
-		c := r.slotChunks[r.slotNext]
-		if cap(c) >= n {
-			r.slotNext++
-			return c[:cap(c)]
-		}
-		// Too small for this configuration's segment size (the pool is
-		// shared across configs): replace it in place.
-		c = make([]*dyn, n)
-		r.slotChunks[r.slotNext] = c
-		r.slotNext++
-		return c
-	}
-	c := make([]*dyn, n)
-	r.slotChunks = append(r.slotChunks, c)
-	r.slotNext = len(r.slotChunks)
 	return c
 }

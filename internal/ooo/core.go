@@ -269,10 +269,10 @@ func (m *machine) step() error {
 	if m.done {
 		return nil
 	}
-	// Rebuild the live-order cache once, at a point where no walk is in
-	// progress: retirement and last cycle's fetch dirtied it, and every
-	// stage below iterates it.
-	m.win.refresh()
+	// Compact the live-order array at the one point in the cycle where no
+	// walk is in progress: retirement and last cycle's squashes left their
+	// tombstones, and every stage below iterates it.
+	m.win.compact()
 	m.goldSync()
 	if m.cfg.Check {
 		if err := m.checkGoldSync(); err != nil {
@@ -536,7 +536,7 @@ func (m *machine) renameAtTail(d *dyn) {
 	}
 }
 
-// rebuildTailRmap reconstructs the tail rename map by walking the window
+// rebuildTailRmap reconstructs the tail rename map by scanning the window
 // backward, used after squashes that invalidate the incremental map.
 func (m *machine) rebuildTailRmap() {
 	m.rmapAt(&m.tailRmap, m.win.tailLive())
@@ -552,7 +552,7 @@ func (m *machine) rebuildTailRmap() {
 func (m *machine) rmapAt(rm *regMap, at *dyn) {
 	*rm = regMap{}
 	found := 0
-	for d := at; d != nil && found < isa.NumRegs; d = m.win.prevLive(d, false) {
+	for d := at; d != nil && found < isa.NumRegs; d = m.win.prevLive(d) {
 		if d.hasRd && rm[d.dest] == nil {
 			rm[d.dest] = d
 			found++
@@ -565,8 +565,7 @@ func (m *machine) rmapAt(rm *regMap, at *dyn) {
 //cisim:hot
 func (m *machine) issueStage() {
 	issued := 0
-	cache, flags := m.stageLive()
-	m.win.walking++
+	cache, flags := m.win.live()
 	// SoA fast path: a live, still-waiting instruction has flag byte
 	// state stWaiting and no dead bit, so one masked compare on the
 	// dense flag array rejects everything already executing, done, or
@@ -588,13 +587,12 @@ func (m *machine) issueStage() {
 		m.issue(d)
 		issued++
 	}
-	m.win.walking--
 }
 
 // olderStorePending reports whether any older live store has not yet
 // completed, for the ConservativeLoads issue gate.
 func (m *machine) olderStorePending(d *dyn) bool {
-	for p := m.win.prevLive(d, false); p != nil; p = m.win.prevLive(p, false) {
+	for p := m.win.prevLive(d); p != nil; p = m.win.prevLive(p) {
 		if p.isStore && (p.st != stDone || p.stale) {
 			return true
 		}
@@ -747,32 +745,17 @@ func (m *machine) loadValue(d *dyn) uint64 {
 	var have uint // bitmask of resolved bytes
 	full := uint(1)<<n - 1
 	var val uint64
+	// One backward scan over the order array. A forwarding candidate —
+	// live, a store, address known, value computed — is a single masked
+	// compare on the SoA flag byte, so the scan derefs only actual
+	// candidates.
+	const candidate = fIsStore | fEAValid | uint8(stDone)<<fStShift
 	w := m.win
-	fast := false
-	if !w.dirty {
-		// One backward scan over the order cache instead of a prevLive
-		// chain that re-finds its position on every step. A forwarding
-		// candidate — live, a store, address known, value computed — is a
-		// single masked compare on the SoA flag byte, so the scan derefs
-		// only actual candidates.
-		const candidate = fIsStore | fEAValid | uint8(stDone)<<fStShift
-		if i := w.cacheIndex(w.liveCache, d); i >= 0 {
-			fast = true
-			for j := i - 1; j >= w.lo && have != full; j-- {
-				if w.liveFlags[j]&(fDead|fIsStore|fEAValid|fStMask) != candidate {
-					continue
-				}
-				mergeStoreBytes(d, w.liveCache[j], n, &have, &val)
-			}
+	for j := w.index(d) - 1; j >= w.lo && have != full; j-- {
+		if w.liveFlags[j]&(fDead|fIsStore|fEAValid|fStMask) != candidate {
+			continue
 		}
-	}
-	if !fast {
-		for s := w.prevLive(d, false); s != nil && have != full; s = w.prevLive(s, false) {
-			if !s.isStore || !s.eaValid || s.st != stDone {
-				continue
-			}
-			mergeStoreBytes(d, s, n, &have, &val)
-		}
+		mergeStoreBytes(d, w.liveCache[j], n, &have, &val)
 	}
 	for i := uint(0); i < n; i++ {
 		if have&(1<<i) == 0 {
@@ -842,53 +825,27 @@ func (m *machine) forceReissue(c *dyn) {
 //
 //cisim:hot
 func (m *machine) storeCompleted(s *dyn) {
-	if cache, flags, ok := m.win.liveAfter(s); ok {
-		m.win.walking++
-		// SoA fast path: the scan only cares about live memory operations
-		// with a resolved address, so the dense flag bytes reject ALU and
-		// control instructions — the bulk of the window — without a deref.
-		const doneStore = fIsStore | fEAValid | uint8(stDone)<<fStShift
-		for i, f := range flags {
-			if f&fDead != 0 || f&(fIsLoad|fIsStore) == 0 || f&fEAValid == 0 {
-				continue
-			}
-			c := cache[i]
-			if f&(fDead|fIsStore|fEAValid|fStMask) == doneStore && covers(c.ea, c.esize, s.ea, s.esize) {
-				break
-			}
-			if f&fIsLoad == 0 || f&fStMask == uint8(stWaiting)<<fStShift {
-				continue
-			}
-			if c.fwdFrom == s {
-				if f&fStMask == uint8(stDone)<<fStShift {
-					nv := m.loadValue(c)
-					if nv != c.val || c.fwdFrom != s {
-						m.reissueLoad(c)
-					}
-				} else {
-					c.stale = true
-				}
-				continue
-			}
-			if overlaps(s.ea, s.esize, c.ea, c.esize) {
-				m.reissueLoad(c)
-			}
+	cache, flags := m.win.liveAfter(s)
+	// SoA fast path: the scan only cares about live memory operations with
+	// a resolved address, so the dense flag bytes reject ALU and control
+	// instructions — the bulk of the window — without a deref.
+	const doneStore = fIsStore | fEAValid | uint8(stDone)<<fStShift
+	for i, f := range flags {
+		if f&fDead != 0 || f&(fIsLoad|fIsStore) == 0 || f&fEAValid == 0 {
+			continue
 		}
-		m.win.walking--
-		return
-	}
-	m.win.forEachAfter(s, func(c *dyn) bool {
-		if c.isStore && c.eaValid && c.st == stDone && covers(c.ea, c.esize, s.ea, s.esize) {
+		c := cache[i]
+		if f&(fDead|fIsStore|fEAValid|fStMask) == doneStore && covers(c.ea, c.esize, s.ea, s.esize) {
 			// A younger store completely shadows this one; loads beyond
 			// it cannot depend on s.
-			return false
+			break
 		}
-		if !c.isLoad || c.st == stWaiting || !c.eaValid {
-			return true
+		if f&fIsLoad == 0 || f&fStMask == uint8(stWaiting)<<fStShift {
+			continue
 		}
 		if c.fwdFrom == s {
 			// Re-read: the store's value or address may have changed.
-			if c.st == stDone {
+			if f&fStMask == uint8(stDone)<<fStShift {
 				nv := m.loadValue(c)
 				if nv != c.val || c.fwdFrom != s {
 					m.reissueLoad(c)
@@ -896,15 +853,14 @@ func (m *machine) storeCompleted(s *dyn) {
 			} else {
 				c.stale = true
 			}
-			return true
+			continue
 		}
 		if overlaps(s.ea, s.esize, c.ea, c.esize) {
 			// The load issued before this older store resolved: a
 			// memory-order violation.
 			m.reissueLoad(c)
 		}
-		return true
-	})
+	}
 }
 
 func (m *machine) reissueLoad(c *dyn) {
@@ -933,8 +889,7 @@ func (m *machine) recoveryStage() {
 		}
 	}
 	oldestUnresolved := true
-	cache, flags := m.stageLive()
-	m.win.walking++
+	cache, flags := m.win.live()
 	// SoA fast path: only live, still-unresolved control instructions
 	// participate — resolveStep returns immediately (and leaves
 	// oldestUnresolved untouched) for everything else — so the scan
@@ -945,7 +900,6 @@ func (m *machine) recoveryStage() {
 		}
 		m.resolveStep(cache[i], &oldestUnresolved)
 	}
-	m.win.walking--
 	m.serviceRecoveries()
 }
 
@@ -1048,21 +1002,19 @@ func (m *machine) checkResolved(d *dyn) {
 //
 //cisim:hot
 func (m *machine) computeStability() {
-	cache, flags := m.stageLive()
+	cache, flags := m.win.live()
 	const reader = fPendCtl | uint8(stDone)<<fStShift
 	end := len(flags)
 	for end > 0 && flags[end-1]&(fDead|fPendCtl|fStMask) != reader {
 		end--
 	}
 	allOlderMemStable := true
-	m.win.walking++
 	for i, f := range flags[:end] {
 		if f&fDead != 0 {
 			continue
 		}
 		m.stabilityStep(cache[i], &allOlderMemStable)
 	}
-	m.win.walking--
 }
 
 // stabilityStep computes one instruction's stability flag during the
@@ -1103,23 +1055,25 @@ func (m *machine) retireStage() {
 		}
 		// Retirement may not run past an unfilled restart gap, nor past
 		// control independent instructions whose redispatch (rename
-		// repair) has not reached them yet. Gates anchor on the (always
-		// live) reconvergent points: positions of retired instructions
-		// go stale across renumbering.
-		if m.active != nil && (m.active.reconv == nil || d.pos >= m.active.reconv.pos) {
+		// repair) has not reached them yet. Gates anchor on live
+		// instructions. A suspension whose reconvergent point was squashed
+		// gates nothing: everything younger went with that point, or a
+		// newer restart's gate holds retirement until the suspension is
+		// dropped.
+		if m.active != nil && (m.active.reconv == nil || !m.win.before(d, m.active.reconv)) {
 			return
 		}
 		for _, s := range m.suspended {
-			if d.pos >= s.reconv.pos {
+			if !s.reconv.squashed && !m.win.before(d, s.reconv) {
 				return
 			}
 		}
-		if m.redisp != nil && m.redisp.cur != nil && d.pos >= m.redisp.cur.pos {
+		if m.redisp != nil && m.redisp.cur != nil && !m.win.before(d, m.redisp.cur) {
 			return
 		}
 		blocked := false
 		for _, pr := range m.pendingRecs {
-			if !pr.d.squashed && !pr.d.retired && d.pos >= pr.d.pos {
+			if !pr.d.squashed && !pr.d.retired && !m.win.before(d, pr.d) {
 				blocked = true
 				break
 			}
@@ -1252,7 +1206,7 @@ const goldSyncLimit = 256
 // oracle history) consult; like the paper's, it is best-effort.
 //
 // The sync resumes after the prefix it verified last cycle (gsLast,
-// gsNext) instead of walking it again. A verified entry would pass again
+// gsNext) instead of scanning it again. A verified entry would pass again
 // unchanged: its pc, its golden index and the golden stream never change;
 // its assumed target changes only in a recovery redirect; window order
 // before the frontier changes only by squash or restart insertion; and
@@ -1262,15 +1216,14 @@ const goldSyncLimit = 256
 //
 //cisim:hot
 func (m *machine) goldSync() {
-	cache, flags := m.stageLive()
+	cache, flags := m.win.live()
 	last, from, g := m.gsLast, 0, m.retireCur
 	if last != nil && !last.retired {
-		from, g = m.win.cacheIndex(m.win.liveCache, last)-m.win.lo+1, m.gsNext
+		from, g = m.win.index(last)-m.win.lo+1, m.gsNext
 	} else {
 		last = nil
 	}
 	limit := goldSyncLimit - (g - m.retireCur)
-	m.win.walking++
 	for i := from; i < len(flags); i++ {
 		if flags[i]&fDead != 0 {
 			continue
@@ -1297,7 +1250,6 @@ func (m *machine) goldSync() {
 		g++
 		last = d
 	}
-	m.win.walking--
 	m.gsLast, m.gsNext = last, g
 }
 
@@ -1313,7 +1265,7 @@ func (m *machine) stuckReport() string {
 		for i := 0; i < h.nsrc; i++ {
 			if p := h.src[i]; p != nil {
 				s += fmt.Sprintf("\n  src%d: %v st=%d squashed=%v retired=%v inWindow=%v",
-					i, p, p.st, p.squashed, p.retired, m.inWindow(p))
+					i, p, p.st, p.squashed, p.retired, m.win.has(p))
 			}
 		}
 	}
@@ -1358,7 +1310,7 @@ func (m *machine) checkRenames() error {
 			okPtr := got == want || (want == nil && got != nil && got.retired)
 			if !okPtr {
 				ctx := ""
-				for p := m.win.prevLive(d, false); p != nil && len(ctx) < 400; p = m.win.prevLive(p, false) {
+				for p := m.win.prevLive(d); p != nil && len(ctx) < 400; p = m.win.prevLive(p) {
 					ctx = fmt.Sprintf("  %v sq=%v\n", p, p.squashed) + ctx
 				}
 				err = fmt.Errorf("ooo: cycle %d: %v src%d(%v) points to %v, want %v\nwindow before:\n%s",
@@ -1393,17 +1345,4 @@ func (m *machine) checkContinuity() error {
 		return true
 	})
 	return err
-}
-
-// inWindow reports whether a dyn still sits in a linked segment
-// (diagnostics for dangling source pointers).
-func (m *machine) inWindow(d *dyn) bool {
-	for seg := m.win.head; seg != nil; seg = seg.next {
-		for _, c := range seg.slots[:seg.used] {
-			if c == d {
-				return true
-			}
-		}
-	}
-	return false
 }

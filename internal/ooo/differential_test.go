@@ -135,7 +135,7 @@ func steadyLoopProgram(iters int32) *prog.Program {
 
 // TestSteadyStateZeroAllocs pins the point of the data-oriented rewrite:
 // the cycle loop allocates nothing in steady state. The slab arenas
-// (dyns, segments, slots) refill in amortized batches, so the test tops
+// (dyns, segments) refill in amortized batches, so the test tops
 // them up past what the measured steps can consume; everything else — the
 // dense rename map, the event wheel, recycled completion buckets, the
 // reused fetch buffer — must be allocation-free per cycle.
@@ -158,7 +158,6 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	m.arena = make([]dyn, 1<<15)
 	m.win.segArena = make([]segment, 1<<14)
-	m.win.slotArena = make([]*dyn, 1<<14)
 	avg := testing.AllocsPerRun(400, func() {
 		if m.done {
 			t.Fatal("program finished during measurement; lengthen the loop")

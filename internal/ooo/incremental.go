@@ -59,21 +59,9 @@ func (m *machine) releaseConsumers(p *dyn) {
 // window order or an assumed successor changed where the sync already
 // looked.
 func (m *machine) dropGoldPrefix(d *dyn) {
-	if m.gsLast != nil && d.pos <= m.gsLast.pos {
+	if m.gsLast != nil && !m.win.before(m.gsLast, d) {
 		m.gsLast = nil
 	}
-}
-
-// stageLive returns the live-order cache for one of the per-cycle stage
-// scans. Those scans run from step with no walk in progress, right after
-// refresh, so the cache is always usable; Config.Check panics if that
-// premise ever breaks.
-func (m *machine) stageLive() ([]*dyn, []uint8) {
-	cache, flags, ok := m.win.live()
-	if !ok && m.cfg.Check {
-		panic(fmt.Sprintf("ooo: cycle %d: stage scan inside a window walk", m.cycle))
-	}
-	return cache, flags
 }
 
 // checkConsumers verifies the consumer lists (Config.Check): every live
@@ -116,7 +104,7 @@ func (m *machine) checkConsumers() error {
 			if p == nil || p.retired || p.squashed {
 				continue
 			}
-			if p.pos >= c.pos {
+			if !m.win.before(p, c) {
 				err = fmt.Errorf("ooo: cycle %d: %v src%d names %v, which is not older", m.cycle, c, i, p)
 				return false
 			}
@@ -139,7 +127,7 @@ func (m *machine) checkConsumers() error {
 // with it at every reader: each live, completed, unresolved control
 // instruction (Config.Check).
 func (m *machine) checkStability() {
-	cache, flags := m.stageLive()
+	cache, flags := m.win.live()
 	full := make([]bool, len(cache))
 	allOlderMemStable := true
 	for i, f := range flags {
@@ -157,7 +145,7 @@ func (m *machine) checkStability() {
 				s = false
 				break
 			}
-			j := m.win.cacheIndex(m.win.liveCache, p) - m.win.lo
+			j := m.win.index(p) - m.win.lo
 			if j < 0 || j >= i {
 				panic(fmt.Sprintf("ooo: cycle %d: %v src%d names %v, which is not older", m.cycle, d, k, p))
 			}

@@ -39,9 +39,8 @@ func TestGoldPrefixDrops(t *testing.T) {
 					t.Fatalf("no verified prefix of 4 entries before the run ended (err %v)", err)
 				}
 			}
-			e := m.win.nextLive(m.win.headLive(), false)
+			e := m.win.nextLive(m.win.headLive())
 			tc.plant(m, e)
-			m.win.refresh()
 			m.goldSync()
 			if err := m.checkGoldSync(); err != nil {
 				t.Fatal(err)

@@ -81,12 +81,12 @@ func (m *machine) serviceRecoveries() {
 		case m.active.reconv == nil:
 			// A search restart has no reconvergent point yet; only a
 			// recovery logically before its branch can displace it.
-			if !m.active.branch.retired && nb.d.pos < m.active.branch.pos {
+			if !m.active.branch.retired && m.win.before(nb.d, m.active.branch) {
 				m.abandonRestart(m.active)
 				m.takePending(nb)
 				m.beginRecovery(nb)
 			}
-		case nb.d.pos < m.active.reconv.pos:
+		case m.win.before(nb.d, m.active.reconv):
 			// Logically before the remaining restart work (§A.1).
 			m.preempt(nb)
 		default:
@@ -100,10 +100,14 @@ func (m *machine) serviceRecoveries() {
 		m.continueRestart()
 	}
 	// Redispatch overlaps with restart fetch (§3.1 allows overlapping the
-	// recovery steps): the walk may only proceed through instructions
-	// older than the active gap, which is exactly what its cursor
-	// guarantees (walks start at a reconvergent point older than any
-	// newer restart's region, and pause when preempted).
+	// recovery steps). Nothing stops the walk at an active restart's gap:
+	// each cycle it advances Width live instructions (CI-I: the rest of
+	// the window) from its cursor, so it can step past the active
+	// restart's last insertion and remap the region behind the unfilled
+	// gap without the gap's producers, and on reaching the window tail
+	// finishWalk installs its rename map and fetch context while that
+	// restart is still active. Only a recovery whose branch is older than
+	// the cursor drops the walk (beginRecoveryInner).
 	if m.redisp != nil {
 		m.continueWalk()
 	}
@@ -130,7 +134,7 @@ func (m *machine) prunePending() {
 func (m *machine) oldestPending() pendingRec {
 	best := m.pendingRecs[0]
 	for _, pr := range m.pendingRecs[1:] {
-		if pr.d.pos < best.d.pos {
+		if m.win.before(pr.d, best.d) {
 			best = pr
 		}
 	}
@@ -157,8 +161,8 @@ func (m *machine) preempt(nb pendingRec) {
 	// CASE 2 when the new reconvergent point falls inside or beyond the
 	// active restart's region. If the active branch already retired, any
 	// live dyn older than the reconv point is in the gap, so it is CASE 2
-	// as well (retired positions are unreliable across renumbering).
-	caseTwo := nr != nil && (act.branch.retired || nr.pos > act.branch.pos)
+	// as well (a retired branch may have left the window order).
+	caseTwo := nr != nil && (act.branch.retired || m.win.before(act.branch, nr))
 	switch {
 	case nr == nil || caseTwo:
 		// CASE 1 and CASE 2: the new recovery removes the active
@@ -189,7 +193,7 @@ func (m *machine) preempt(nb pendingRec) {
 // squashed; sequential fetch will eventually refetch it.
 func (m *machine) abandonRestart(act *restartSeq) {
 	m.active = nil
-	if next := m.win.nextLive(act.lastIns, false); next != nil {
+	if next := m.win.nextLive(act.lastIns); next != nil {
 		m.squashFrom(next)
 	}
 	m.win.sealAndSweep(act.fillSeg)
@@ -248,7 +252,7 @@ func (m *machine) beginRecoveryInner(pr pendingRec) {
 	nr := m.findReconv(d, pr.taken, pr.target)
 	// Drop any redispatch state that the squash will invalidate; the
 	// recovery's own redispatch re-covers everything younger.
-	if m.redisp != nil && (m.redisp.cur == nil || m.redisp.cur.pos > d.pos) {
+	if m.redisp != nil && (m.redisp.cur == nil || m.win.before(d, m.redisp.cur)) {
 		// A finished-but-unretired walk (cur == nil) is superseded too:
 		// the recovery re-establishes fetch state itself.
 		m.redisp = nil
@@ -263,7 +267,7 @@ func (m *machine) beginRecoveryInner(pr pendingRec) {
 	// Segment granularity: if the reconvergent point shares the branch's
 	// segment, the whole rest of that segment must go too (§A.4).
 	for nr != nil && nr.seg == d.seg {
-		nr = m.win.nextLive(nr, false)
+		nr = m.win.nextLive(nr)
 	}
 	if nr == nil {
 		// No reconvergent point, or everything after the branch falls in
@@ -283,14 +287,13 @@ func (m *machine) beginRecoveryInner(pr pendingRec) {
 func (m *machine) beginSearchRecovery(d *dyn) bool {
 	// Segment granularity (§A.4): the fill segment links after the
 	// branch's segment, so any live same-segment successors must go
-	// first — they cannot be preserved across a mid-segment insertion.
-	for i := d.slot + 1; i < d.seg.used; i++ {
-		if c := d.seg.slots[i]; !c.squashed && !c.retired {
-			m.squashCD(c)
-		}
+	// first — they cannot be preserved across a mid-segment insertion. A
+	// segment's entries are contiguous in window order.
+	for c := m.win.nextLive(d); c != nil && c.seg == d.seg; c = m.win.nextLive(c) {
+		m.squashCD(c)
 	}
 	m.reissueLoadsAfterStoreSquash(d)
-	if m.win.nextLive(d, false) == nil {
+	if m.win.nextLive(d) == nil {
 		return false
 	}
 	m.startRestart(d, nil)
@@ -353,7 +356,7 @@ func (m *machine) reconverge(branch, after, reconv *dyn) {
 	m.stats.RemovedCD += removed
 
 	ci := uint64(0)
-	for c := reconv; c != nil; c = m.win.nextLive(c, false) {
+	for c := reconv; c != nil; c = m.win.nextLive(c) {
 		ci++
 		if c.saved == savedNo {
 			if c.st == stWaiting && c.issues == 0 {
@@ -536,7 +539,7 @@ func (m *machine) continueRestart() {
 		}
 		for m.win.segsAvailable() == 0 && (act.fillSeg == nil || act.fillSeg.full()) {
 			tail := m.win.tailLive()
-			if tail == nil || tail == keep || tail.pos <= keep.pos {
+			if tail == nil || tail == keep || m.win.before(tail, keep) {
 				m.convertRestartToPlain(false)
 				return
 			}
@@ -623,7 +626,7 @@ func (m *machine) finishRestart() {
 	m.observeRestartPenalty(act)
 
 	nd := &redispSeq{fetchCtx: act.fetchCtx, cur: act.reconv}
-	if m.redisp == nil || nd.cur.pos < m.redisp.cur.pos {
+	if m.redisp == nil || m.win.before(nd.cur, m.redisp.cur) {
 		m.redisp = nd
 	}
 	m.resumeSuspended()
@@ -645,7 +648,7 @@ func (m *machine) filterSuspended() {
 			// fetch can refill it. (A pending redispatch walk, if any,
 			// re-derives this state when it finishes.)
 			if !s.lastIns.squashed && !s.lastIns.retired {
-				if next := m.win.nextLive(s.lastIns, false); next != nil {
+				if next := m.win.nextLive(s.lastIns); next != nil {
 					m.squashFrom(next)
 				}
 				m.fetch = s.fetchCtx
@@ -655,7 +658,15 @@ func (m *machine) filterSuspended() {
 		}
 		keep = append(keep, s)
 	}
-	m.suspended = keep
+	// A cleanup above squashes the whole region of every younger
+	// suspension the loop already kept; drop those too, so none is
+	// resumed with its reconvergent point gone.
+	m.suspended = keep[:0]
+	for _, s := range keep {
+		if !s.reconv.squashed {
+			m.suspended = append(m.suspended, s)
+		}
+	}
 }
 
 // resumeSuspended reactivates the most recently suspended valid restart
@@ -701,7 +712,7 @@ func (m *machine) convertRestartToPlain(halted bool) {
 func (m *machine) continueWalk() {
 	rd := m.redisp
 	if !rd.rmapValid {
-		if prev := m.win.prevLive(rd.cur, false); prev == nil {
+		if prev := m.win.prevLive(rd.cur); prev == nil {
 			rd.rmap = regMap{}
 		} else {
 			m.rmapAt(&rd.rmap, prev)
@@ -719,7 +730,7 @@ func (m *machine) continueWalk() {
 			return
 		}
 		if d.squashed || d.retired {
-			rd.cur = m.win.nextLive(d, false)
+			rd.cur = m.win.nextLive(d)
 			continue
 		}
 		m.stats.RedispatchWalked++
@@ -775,7 +786,7 @@ func (m *machine) continueWalk() {
 				rd.gold = -1
 			}
 		}
-		rd.cur = m.win.nextLive(d, false)
+		rd.cur = m.win.nextLive(d)
 	}
 }
 

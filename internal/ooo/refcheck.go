@@ -35,13 +35,13 @@ func newRefShadow() *refShadow {
 }
 
 // rebuildTailRmap is the pre-rewrite rebuild: a fresh map filled by
-// walking the window backward. Running it at the same points the dense
+// scanning the window backward. Running it at the same points the dense
 // rebuild runs gives a full-state comparison via verifyCycle.
 func (rs *refShadow) rebuildTailRmap(m *machine) {
 	//lint:ignore hotalloc the shadow deliberately keeps the pre-rewrite map implementation; it only runs under Config.refCheck
 	rs.tailRmap = make(map[isa.Reg]*dyn)
 	found := 0
-	for d := m.win.tailLive(); d != nil && found < isa.NumRegs; d = m.win.prevLive(d, false) {
+	for d := m.win.tailLive(); d != nil && found < isa.NumRegs; d = m.win.prevLive(d) {
 		if d.hasRd {
 			if _, ok := rs.tailRmap[d.dest]; !ok {
 				rs.tailRmap[d.dest] = d

@@ -65,13 +65,12 @@ type dyn struct {
 
 	stableFlag bool // data-stability flag (spec-C/non-spec gating)
 
-	// Window bookkeeping.
+	// Window bookkeeping. liveIdx is the instruction's index in the
+	// window's live-order array, which is also its order key (window.before).
 	seg      *segment
-	slot     int
-	pos      int64
 	squashed bool
 	retired  bool
-	liveIdx  int32 // index in the window's live-order cache; see refresh
+	liveIdx  int32
 
 	// cons heads the list of instructions that named this one as a source
 	// (incremental.go); 0 when empty.
@@ -117,11 +116,16 @@ func (d *dyn) ready() bool {
 	return true
 }
 
-// segment is one ROB block (§A.4): slots fill in order; squashed slots
-// stay dead until the whole segment is reclaimed (internal fragmentation).
+// segment is one ROB block (§A.4): it takes entries in order until it is
+// full, and squashed entries stay dead until the whole segment is
+// reclaimed (internal fragmentation). Window order lives in the window's
+// live-order array; a segment only counts its entries.
 type segment struct {
-	slots      []*dyn
-	used       int
+	size int // capacity in entries
+	used int // entries placed in it
+	live int // of those, neither retired nor squashed
+	// prev and next chain the segments; the chain decides where a new
+	// segment goes, and so which segment takes the next dispatch.
 	prev, next *segment
 	// sealed marks a segment that will receive no more dispatches (it is
 	// neither the tail nor an active restart's fill target).
@@ -130,17 +134,10 @@ type segment struct {
 	unlinked bool
 }
 
-func (s *segment) full() bool { return s.used == cap(s.slots) }
+func (s *segment) full() bool { return s.used == s.size }
 
-// drained reports whether every used slot is retired or squashed.
-func (s *segment) drained() bool {
-	for _, d := range s.slots[:s.used] {
-		if !d.retired && !d.squashed {
-			return false
-		}
-	}
-	return true
-}
+// drained reports whether every entry placed in s is retired or squashed.
+func (s *segment) drained() bool { return s.live == 0 }
 
 // window is the segmented reorder buffer.
 type window struct {
@@ -150,62 +147,53 @@ type window struct {
 	head     *segment
 	tail     *segment
 
-	nextPos int64
-	count   int // live (non-retired, non-squashed) instructions
+	count int // live (non-retired, non-squashed) instructions
 
-	// Slab arenas for segments and their slot arrays. With the default
-	// SegmentSize of 1 every dispatched instruction allocates a segment,
-	// which made newSegment the single largest allocation site of the
-	// whole simulator (>80% of objects). Segments are never reused after
-	// being unlinked — stale seg pointers held by retired dyns must keep
-	// pointing at dead-but-intact memory — so a bump allocator is safe:
-	// slots carved from one big backing array, structs from one slab.
+	// Slab arena for segments. With the default SegmentSize of 1 every
+	// dispatched instruction allocates a segment, which made newSegment
+	// the single largest allocation site of the whole simulator (>80% of
+	// objects). Segments are never reused after being unlinked — stale
+	// seg pointers held by retired dyns must keep pointing at
+	// dead-but-intact memory — so a bump allocator over one slab is safe.
 	// Chunks come from rm, which recycles them across runs.
-	segArena  []segment
-	slotArena []*dyn
-	rm        *runMem
+	segArena []segment
+	rm       *runMem
 
-	// The live-order cache is the in-order snapshot of the window that
-	// the per-cycle walks (forEach, forEachAfter, the rename chains)
-	// iterate instead of chasing segment links slot by slot — with the
-	// default SegmentSize of 1 a segment walk is a pointer chase per
-	// instruction, and the walks dominated the simulator's CPU profile.
+	// The live-order array is the window's one order: every instruction
+	// placed in the window sits in it, oldest first, and its liveIdx names
+	// its index there, so an order comparison is an index comparison and
+	// the per-cycle walks (forEach, forEachAfter, the rename chains) scan
+	// a dense array instead of chasing segment links.
 	// It is struct-of-arrays: liveCache holds the *dyn in window order,
 	// and liveFlags mirrors, entry for entry, the byte of state the hot
 	// filters test (dead, pipeline state, pending control, load/store,
 	// address validity) — so the issue, resolve, stability and
 	// store-forward scans reject the common case from a dense byte array
 	// without dereferencing the instruction at all, and goldSync resumes
-	// its walk at a cache index. (Wakeup walks consumer lists instead; see
-	// incremental.go.)
+	// its walk at an array index. (Wakeup walks consumer lists instead;
+	// see incremental.go.)
 	// The flag byte is re-mirrored by noteFlags at every state
 	// transition; all transition sites funnel through a handful of
 	// machine methods (issue, complete, forceReissue, reissueLoad,
 	// resolveStep, squash, retire).
 	//
-	// The cache is maintained incrementally: appendTail extends both
-	// arrays in place (tail appends preserve order), and squash/retire
-	// leave their entry behind as a tombstone that every walker skips by
-	// flag — exactly the check the segment walk performed — counted in
-	// dead and compacted away once tombstones dominate. Only insertAfter
-	// breaks cache order; it sets dirty, and refresh rebuilds from the
-	// authoritative segment chain. lo is a watermark below which every
+	// appendTail extends both arrays, insertAfter splices a restart's
+	// instruction in after its predecessor and rewrites the indexes it
+	// shifts, and squash/retire leave their entry behind as a tombstone
+	// that every walker skips by flag, counted in dead. compact squeezes
+	// the tombstones out once they dominate; the machine calls it once a
+	// cycle, between retirement and the first stage scan, so nothing is
+	// compacted during a walk and an instruction that dies in a cycle keeps
+	// its index until the next one. lo is a watermark below which every
 	// entry is known dead (liveness flags are never cleared), advanced by
 	// headLive so the retired prefix is skipped in amortized O(1).
-	// Mutations *during* a cached walk are handled the same way the
-	// segment walk handled them: flags are re-checked at visit time, and
-	// nested walks fall back to the segment path while a cached walk is
-	// in progress (walking > 0) so the snapshot under the outer iteration
-	// is never rebuilt or compacted in place.
 	liveCache []*dyn
 	liveFlags []uint8
-	dirty     bool
 	dead      int
 	lo        int
-	walking   int
 }
 
-// Flag bits of the live-order cache's SoA filter byte. The pipeline
+// Flag bits of the live-order array's SoA filter byte. The pipeline
 // state occupies bits 1-2 so a masked compare tests it without a shift.
 const (
 	fDead    uint8 = 1 << 0 // squashed or retired
@@ -238,19 +226,11 @@ func flagsOf(d *dyn) uint8 {
 	return f
 }
 
-// noteFlags re-mirrors d's filter byte into the SoA cache after a state
-// transition. O(1); a no-op when the cache is dirty (the rebuild
-// recomputes every byte) or d is not in the current snapshot.
+// noteFlags re-mirrors d's filter byte into the SoA array after a state
+// transition. O(1).
 func (w *window) noteFlags(d *dyn) {
-	if w.dirty {
-		return
-	}
-	if i := int(d.liveIdx); i >= 0 && i < len(w.liveCache) && w.liveCache[i] == d {
-		w.liveFlags[i] = flagsOf(d)
-	}
+	w.liveFlags[w.index(d)] = flagsOf(d)
 }
-
-const posGap = int64(1) << 20
 
 func newWindow(size, segSize int, rm *runMem) *window {
 	return &window{
@@ -272,16 +252,16 @@ func (w *window) newSegment() *segment {
 	}
 	seg := &w.segArena[0]
 	w.segArena = w.segArena[1:]
-	if len(w.slotArena) < w.segSize {
-		n := 64 * w.segSize
-		if n < 1024 {
-			n = 1024
-		}
-		w.slotArena = w.rm.slotChunk(n)
-	}
-	seg.slots = w.slotArena[:0:w.segSize]
-	w.slotArena = w.slotArena[w.segSize:]
+	seg.size = w.segSize
 	return seg
+}
+
+// place counts d into seg.
+func (w *window) place(seg *segment, d *dyn) {
+	d.seg = seg
+	seg.used++
+	seg.live++
+	w.count++
 }
 
 // appendTail adds a dyn at the window tail, allocating a segment if
@@ -304,30 +284,27 @@ func (w *window) appendTail(d *dyn) bool {
 			w.maybeFree(old)
 		}
 	}
-	seg := w.tail
-	d.seg = seg
-	d.slot = seg.used
-	seg.slots = seg.slots[:seg.used+1]
-	seg.slots[seg.used] = d
-	seg.used++
-	w.nextPos += posGap
-	d.pos = w.nextPos
-	w.count++
-	if !w.dirty && w.walking == 0 {
-		d.liveIdx = int32(len(w.liveCache))
-		w.liveCache = append(w.liveCache, d)
-		w.liveFlags = append(w.liveFlags, flagsOf(d))
-	} else {
-		w.dirty = true
-	}
+	w.place(w.tail, d)
+	d.liveIdx = int32(len(w.liveCache))
+	w.liveCache = append(w.liveCache, d)
+	w.liveFlags = append(w.liveFlags, flagsOf(d))
 	return true
 }
 
 // insertAfter places d immediately after prev in window order, allocating
 // insertion segments as needed. The fill segment for a restart is passed
 // back and forth by the caller: when fillSeg is non-nil and not full, d
-// goes into it; otherwise a fresh segment is linked after prevSeg.
-// Returns the (possibly new) fill segment, or nil when out of segments.
+// goes into it; otherwise a fresh segment is linked after fillSeg, or
+// after prev's segment on a restart's first fill. Returns the (possibly
+// new) fill segment, or nil when out of segments.
+//
+// prev must still be in the live-order array: the restart's branch, or
+// its last insertion. The array puts d right after prev while the chain
+// links a new segment after prev's whole segment; the two agree because
+// no live instruction of that segment follows prev. A plain restart has
+// squashed the gap after its branch, a search squashes the branch's
+// same-segment successors first, and later fills follow the last
+// insertion, which ends its fill segment.
 func (w *window) insertAfter(prev *dyn, fillSeg *segment, d *dyn) *segment {
 	if fillSeg == nil || fillSeg.full() {
 		if w.segsAvailable() == 0 {
@@ -352,87 +329,32 @@ func (w *window) insertAfter(prev *dyn, fillSeg *segment, d *dyn) *segment {
 		}
 		fillSeg = seg
 	}
-	d.seg = fillSeg
-	d.slot = fillSeg.used
-	fillSeg.slots = fillSeg.slots[:fillSeg.used+1]
-	fillSeg.slots[fillSeg.used] = d
-	fillSeg.used++
-	w.count++
-	w.dirty = true
-	w.assignPos(d)
+	w.place(fillSeg, d)
+	i := w.index(prev) + 1
+	w.liveCache = append(w.liveCache, nil)
+	w.liveFlags = append(w.liveFlags, 0)
+	copy(w.liveCache[i+1:], w.liveCache[i:])
+	copy(w.liveFlags[i+1:], w.liveFlags[i:])
+	w.liveCache[i] = d
+	w.liveFlags[i] = flagsOf(d)
+	for j, c := range w.liveCache[i:] {
+		c.liveIdx = int32(i + j)
+	}
+	if i < w.lo {
+		w.lo = i
+	}
 	return fillSeg
 }
 
-// assignPos gives d a position strictly between its window neighbours,
-// renumbering the whole window if the gap is exhausted.
-func (w *window) assignPos(d *dyn) {
-	prev := w.prevLive(d, true)
-	next := w.nextLive(d, true)
-	var lo, hi int64
-	if prev != nil {
-		lo = prev.pos
-	}
-	if next != nil {
-		hi = next.pos
-	} else {
-		hi = w.nextPos + 2*posGap
-		w.nextPos = hi
-	}
-	if hi-lo < 2 {
-		w.renumber()
-		w.assignPos(d)
-		return
-	}
-	d.pos = lo + (hi-lo)/2
-}
-
-func (w *window) renumber() {
-	p := int64(0)
-	for seg := w.head; seg != nil; seg = seg.next {
-		for _, d := range seg.slots[:seg.used] {
-			p += posGap
-			d.pos = p
-		}
-	}
-	w.nextPos = p
-}
-
-// refresh makes the order cache usable: a dirty cache (an insertAfter
-// broke order) is rebuilt from the segment chain, and a clean one is
-// compacted when tombstones dominate. ok is false only when the cache is
-// dirty inside an ongoing cached walk and the caller must take the
-// segment path.
-//
-//cisim:hot
-func (w *window) refresh() (cache []*dyn, ok bool) {
-	if w.dirty {
-		if w.walking > 0 {
-			return nil, false
-		}
-		w.liveCache = w.liveCache[:0]
-		w.liveFlags = w.liveFlags[:0]
-		for seg := w.head; seg != nil; seg = seg.next {
-			for _, d := range seg.slots[:seg.used] {
-				if !d.squashed && !d.retired {
-					d.liveIdx = int32(len(w.liveCache))
-					w.liveCache = append(w.liveCache, d)
-					w.liveFlags = append(w.liveFlags, flagsOf(d))
-				}
-			}
-		}
-		w.dirty = false
-		w.dead = 0
-		w.lo = 0
-	} else if w.walking == 0 && w.dead >= 32 && 2*w.dead >= len(w.liveCache) {
-		w.compact()
-	}
-	return w.liveCache, true
-}
-
-// compact squeezes tombstones out of a clean cache, preserving order.
+// compact squeezes the tombstones out of the array, preserving order,
+// once they make up at least half of it. It moves every entry it keeps
+// to a new index, so no walk may be in progress.
 //
 //cisim:hot
 func (w *window) compact() {
+	if w.dead < 32 || 2*w.dead < len(w.liveCache) {
+		return
+	}
 	n := 0
 	for i, d := range w.liveCache {
 		if w.liveFlags[i]&fDead != 0 {
@@ -449,170 +371,84 @@ func (w *window) compact() {
 	w.lo = 0
 }
 
-// live returns the order cache as parallel arrays (tombstones included —
-// callers must skip by the dead flag, exactly as forEach does) for
-// direct, inlinable iteration by the hot per-cycle stages: flags[i] is
-// the filter byte of ptr[i]. ok is false only when the cache is dirty
-// inside an ongoing walk, which the stages, running outside any walk,
-// never are (machine.stageLive). Callers bracket their loop with
-// walking++/-- and must not append or insert, the same contract forEach
+// live returns the array above the dead-prefix watermark as parallel
+// slices (tombstones included — callers must skip by the dead flag,
+// exactly as forEach does) for direct, inlinable iteration by the hot
+// per-cycle stages: flags[i] is the filter byte of ptr[i]. Callers must
+// not append or insert while they iterate, the same contract forEach
 // imposes on its callbacks.
-func (w *window) live() (ptr []*dyn, flags []uint8, ok bool) {
-	cache, ok := w.refresh()
-	if !ok {
-		return nil, nil, false
-	}
-	return cache[w.lo:], w.liveFlags[w.lo:], true
+func (w *window) live() (ptr []*dyn, flags []uint8) {
+	return w.liveCache[w.lo:], w.liveFlags[w.lo:]
 }
 
-// liveAfter returns the cache suffix strictly after d under the same
-// contract as live. ok is false when the cache is dirty or d has been
-// compacted away (dead anchor); the caller then takes the forEachAfter
-// path.
-func (w *window) liveAfter(d *dyn) (ptr []*dyn, flags []uint8, ok bool) {
-	cache, ok := w.refresh()
-	if !ok {
-		return nil, nil, false
-	}
-	if i := w.cacheIndex(cache, d); i >= 0 {
-		return cache[i+1:], w.liveFlags[i+1:], true
-	}
-	return nil, nil, false
+// liveAfter returns the array suffix strictly after d under the same
+// contract as live.
+func (w *window) liveAfter(d *dyn) (ptr []*dyn, flags []uint8) {
+	i := w.index(d) + 1
+	return w.liveCache[i:], w.liveFlags[i:]
 }
 
-// cacheIndex returns d's position in a current cache, or -1 when d is not
-// in it (dead, or a stale liveIdx from an earlier rebuild — the identity
-// check catches both).
-func (w *window) cacheIndex(cache []*dyn, d *dyn) int {
-	if i := int(d.liveIdx); i >= 0 && i < len(cache) && cache[i] == d {
-		return i
-	}
-	return -1
+// has reports whether d is in the live-order array: live, or dead since
+// the last compaction.
+func (w *window) has(d *dyn) bool {
+	i := int(d.liveIdx)
+	return i >= 0 && i < len(w.liveCache) && w.liveCache[i] == d
 }
 
-// prevLive returns the dyn before d in window order; includeAll also
-// visits squashed/retired slots (used for position assignment). A clean
-// cache answers live queries in O(1); dead anchors and dirty windows take
-// the segment walk.
-func (w *window) prevLive(d *dyn, includeAll bool) *dyn {
-	if !includeAll && !w.dirty {
-		if i := w.cacheIndex(w.liveCache, d); i >= 0 {
-			for j := i - 1; j >= w.lo; j-- {
-				if w.liveFlags[j]&fDead == 0 {
-					return w.liveCache[j]
-				}
-			}
-			return nil
-		}
+// index returns d's index in the live-order array. An instruction that has
+// left the array has no place in the window order, so asking for one is
+// an engine bug.
+func (w *window) index(d *dyn) int {
+	if !w.has(d) {
+		panic(fmt.Sprintf("ooo: %v has left the window", d))
 	}
-	seg, slot := d.seg, d.slot-1
-	for seg != nil {
-		for ; slot >= 0; slot-- {
-			c := seg.slots[slot]
-			if includeAll || (!c.squashed && !c.retired) {
-				return c
-			}
-		}
-		seg = seg.prev
-		if seg != nil {
-			slot = seg.used - 1
+	return int(d.liveIdx)
+}
+
+// before reports whether a precedes b in window order.
+func (w *window) before(a, b *dyn) bool { return w.index(a) < w.index(b) }
+
+// prevLive returns the live dyn before d in window order.
+func (w *window) prevLive(d *dyn) *dyn {
+	for j := w.index(d) - 1; j >= w.lo; j-- {
+		if w.liveFlags[j]&fDead == 0 {
+			return w.liveCache[j]
 		}
 	}
 	return nil
 }
 
-// nextLive returns the dyn after d in window order.
-func (w *window) nextLive(d *dyn, includeAll bool) *dyn {
-	if !includeAll && !w.dirty {
-		if i := w.cacheIndex(w.liveCache, d); i >= 0 {
-			for j := i + 1; j < len(w.liveCache); j++ {
-				if w.liveFlags[j]&fDead == 0 {
-					return w.liveCache[j]
-				}
-			}
-			return nil
+// nextLive returns the live dyn after d in window order.
+func (w *window) nextLive(d *dyn) *dyn {
+	for j := w.index(d) + 1; j < len(w.liveCache); j++ {
+		if w.liveFlags[j]&fDead == 0 {
+			return w.liveCache[j]
 		}
-	}
-	seg, slot := d.seg, d.slot+1
-	for seg != nil {
-		for ; slot < seg.used; slot++ {
-			c := seg.slots[slot]
-			if includeAll || (!c.squashed && !c.retired) {
-				return c
-			}
-		}
-		seg = seg.next
-		slot = 0
 	}
 	return nil
 }
 
 // forEach visits every live (non-squashed, non-retired) dyn in order.
 // Returning false stops the walk. Callbacks may squash or retire — the
-// flags are re-checked at visit time, matching the segment walk — but
-// must not append or insert (nothing does: dispatch and restart fill run
-// outside window walks).
+// flags are re-checked at visit time — but must not append or insert
+// (nothing does: dispatch and restart fill run outside window walks).
 func (w *window) forEach(f func(d *dyn) bool) {
-	cache, ok := w.refresh()
-	if !ok {
-		for seg := w.head; seg != nil; seg = seg.next {
-			for _, d := range seg.slots[:seg.used] {
-				if d.squashed || d.retired {
-					continue
-				}
-				if !f(d) {
-					return
-				}
-			}
-		}
-		return
-	}
-	w.walking++
-	flags := w.liveFlags
-	for i := w.lo; i < len(cache); i++ {
-		if flags[i]&fDead != 0 {
-			continue
-		}
-		if !f(cache[i]) {
-			break
-		}
-	}
-	w.walking--
+	w.walk(w.lo, f)
 }
 
 // forEachAfter visits live dyns strictly after d in window order.
 func (w *window) forEachAfter(d *dyn, f func(d *dyn) bool) {
-	if cache, ok := w.refresh(); ok {
-		if i := w.cacheIndex(cache, d); i >= 0 {
-			w.walking++
-			flags := w.liveFlags
-			for j := i + 1; j < len(cache); j++ {
-				if flags[j]&fDead != 0 {
-					continue
-				}
-				if !f(cache[j]) {
-					break
-				}
-			}
-			w.walking--
+	w.walk(w.index(d)+1, f)
+}
+
+// walk visits the live dyns from array index i on, for forEach and
+// forEachAfter.
+func (w *window) walk(i int, f func(d *dyn) bool) {
+	cache, flags := w.liveCache, w.liveFlags
+	for ; i < len(cache); i++ {
+		if flags[i]&fDead == 0 && !f(cache[i]) {
 			return
 		}
-	}
-	// Dead anchor or mid-walk mutation: the segment walk navigates from
-	// dead slots exactly as the pre-cache implementation did.
-	seg, slot := d.seg, d.slot+1
-	for seg != nil {
-		for ; slot < seg.used; slot++ {
-			c := seg.slots[slot]
-			if c.squashed || c.retired {
-				continue
-			}
-			if !f(c) {
-				return
-			}
-		}
-		seg = seg.next
-		slot = 0
 	}
 }
 
@@ -622,22 +458,21 @@ func (w *window) squash(d *dyn) {
 		return
 	}
 	d.squashed = true
-	w.count--
-	if !w.dirty {
-		w.dead++ // now a tombstone in the cache; walkers skip by flag
-		w.noteFlags(d)
-	}
-	w.maybeFree(d.seg)
+	w.leave(d)
 }
 
 // retire marks d retired and reclaims its segment if fully drained.
 func (w *window) retire(d *dyn) {
 	d.retired = true
+	w.leave(d)
+}
+
+// leave turns a just-squashed or just-retired d into a tombstone.
+func (w *window) leave(d *dyn) {
 	w.count--
-	if !w.dirty {
-		w.dead++ // now a tombstone in the cache; walkers skip by flag
-		w.noteFlags(d)
-	}
+	w.dead++
+	w.noteFlags(d)
+	d.seg.live--
 	w.maybeFree(d.seg)
 }
 
@@ -686,19 +521,9 @@ func (w *window) sealAndSweep(seg *segment) {
 // headLive returns the oldest live dyn, advancing the dead-prefix
 // watermark past retired tombstones as it scans.
 func (w *window) headLive() *dyn {
-	if !w.dirty {
-		for ; w.lo < len(w.liveCache); w.lo++ {
-			if w.liveFlags[w.lo]&fDead == 0 {
-				return w.liveCache[w.lo]
-			}
-		}
-		return nil
-	}
-	for seg := w.head; seg != nil; seg = seg.next {
-		for _, d := range seg.slots[:seg.used] {
-			if !d.squashed && !d.retired {
-				return d
-			}
+	for ; w.lo < len(w.liveCache); w.lo++ {
+		if w.liveFlags[w.lo]&fDead == 0 {
+			return w.liveCache[w.lo]
 		}
 	}
 	return nil
@@ -706,102 +531,72 @@ func (w *window) headLive() *dyn {
 
 // tailLive returns the youngest live dyn.
 func (w *window) tailLive() *dyn {
-	if !w.dirty {
-		for i := len(w.liveCache) - 1; i >= w.lo; i-- {
-			if w.liveFlags[i]&fDead == 0 {
-				return w.liveCache[i]
-			}
-		}
-		return nil
-	}
-	for seg := w.tail; seg != nil; seg = seg.prev {
-		for i := seg.used - 1; i >= 0; i-- {
-			d := seg.slots[i]
-			if !d.squashed && !d.retired {
-				return d
-			}
+	for i := len(w.liveCache) - 1; i >= w.lo; i-- {
+		if w.liveFlags[i]&fDead == 0 {
+			return w.liveCache[i]
 		}
 	}
 	return nil
 }
 
-// check validates window invariants (enabled by Config.Check).
+// check validates window invariants (enabled by Config.Check). The order
+// itself has no second copy to compare against; the machine's rename and
+// continuity checks and the commit-time golden checks cover it.
 func (w *window) check() error {
-	segs := 0
-	var lastPos int64 = -1
-	live := 0
+	segs, live := 0, 0
 	for seg := w.head; seg != nil; seg = seg.next {
 		segs++
 		if seg.next != nil && seg.next.prev != seg {
 			return fmt.Errorf("window: broken segment links")
 		}
-		for _, d := range seg.slots[:seg.used] {
-			if d.pos <= lastPos {
-				return fmt.Errorf("window: position order violated at %v (%d after %d)", d, d.pos, lastPos)
-			}
-			lastPos = d.pos
-			if !d.squashed && !d.retired {
-				live++
-			}
+		if seg.live < 0 || seg.live > seg.used || seg.used > seg.size {
+			return fmt.Errorf("window: segment holds %d live of %d used, size %d", seg.live, seg.used, seg.size)
 		}
+		live += seg.live
 	}
 	if segs != w.liveSegs {
 		return fmt.Errorf("window: segment count %d != tracked %d", segs, w.liveSegs)
 	}
-	if live != w.count {
-		return fmt.Errorf("window: live count %d != tracked %d", live, w.count)
-	}
 	if segs > w.maxSegs {
 		return fmt.Errorf("window: %d segments exceed capacity %d", segs, w.maxSegs)
 	}
-	if !w.dirty {
-		// A clean cache, with tombstones skipped, must be exactly the live
-		// segment walk in order; tombstone and watermark accounting must
-		// match, and the SoA flag bytes must mirror the dyn fields they
-		// summarize (a stale byte would silently skip or mis-filter an
-		// instruction in the hot scans).
-		if len(w.liveFlags) != len(w.liveCache) {
-			return fmt.Errorf("window: %d flag bytes for %d cache entries", len(w.liveFlags), len(w.liveCache))
+	if live != w.count {
+		return fmt.Errorf("window: segments count %d live instructions, tracked %d", live, w.count)
+	}
+	// Every entry must sit at its own index, tombstone and watermark
+	// accounting must match, and the SoA flag bytes must mirror the dyn
+	// fields they summarize (a stale byte would silently skip or
+	// mis-filter an instruction in the hot scans).
+	if len(w.liveFlags) != len(w.liveCache) {
+		return fmt.Errorf("window: %d flag bytes for %d array entries", len(w.liveFlags), len(w.liveCache))
+	}
+	dead := 0
+	for i, d := range w.liveCache {
+		if int(d.liveIdx) != i {
+			return fmt.Errorf("window: %v at array index %d has liveIdx %d", d, i, d.liveIdx)
 		}
-		dead := 0
-		var liveIn []*dyn
-		for i, d := range w.liveCache {
-			if d.squashed || d.retired {
-				if w.liveFlags[i]&fDead == 0 {
-					return fmt.Errorf("window: dead %v not flagged dead in SoA cache", d)
-				}
-				dead++
-				continue
+		if d.squashed || d.retired {
+			if w.liveFlags[i]&fDead == 0 {
+				return fmt.Errorf("window: dead %v not flagged dead in SoA array", d)
 			}
-			if w.liveFlags[i] != flagsOf(d) {
-				return fmt.Errorf("window: stale SoA flags %#x for %v (want %#x)", w.liveFlags[i], d, flagsOf(d))
-			}
-			if i < w.lo {
-				return fmt.Errorf("window: live %v below dead-prefix watermark %d", d, w.lo)
-			}
-			if w.cacheIndex(w.liveCache, d) != i {
-				return fmt.Errorf("window: stale liveIdx for %v at cache slot %d", d, i)
-			}
-			liveIn = append(liveIn, d)
+			dead++
+			continue
 		}
-		if dead != w.dead {
-			return fmt.Errorf("window: %d tombstones in cache, tracked %d", dead, w.dead)
+		if w.liveFlags[i] != flagsOf(d) {
+			return fmt.Errorf("window: stale SoA flags %#x for %v (want %#x)", w.liveFlags[i], d, flagsOf(d))
 		}
-		i := 0
-		for seg := w.head; seg != nil; seg = seg.next {
-			for _, d := range seg.slots[:seg.used] {
-				if d.squashed || d.retired {
-					continue
-				}
-				if i >= len(liveIn) || liveIn[i] != d {
-					return fmt.Errorf("window: live cache diverges from segment order at %d (%v)", i, d)
-				}
-				i++
-			}
+		if i < w.lo {
+			return fmt.Errorf("window: live %v below dead-prefix watermark %d", d, w.lo)
 		}
-		if i != len(liveIn) {
-			return fmt.Errorf("window: live cache has %d live entries, segment walk %d", len(liveIn), i)
+		if d.seg.unlinked {
+			return fmt.Errorf("window: live %v sits in a reclaimed segment", d)
 		}
+	}
+	if dead != w.dead {
+		return fmt.Errorf("window: %d tombstones in array, tracked %d", dead, w.dead)
+	}
+	if n := len(w.liveCache) - dead; n != w.count {
+		return fmt.Errorf("window: array holds %d live instructions, tracked %d", n, w.count)
 	}
 	return nil
 }

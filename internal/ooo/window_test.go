@@ -72,7 +72,7 @@ func TestWindowInsertAfterOrder(t *testing.T) {
 	if seg == nil {
 		t.Fatal("insertAfter failed")
 	}
-	seg = w.insertAfter(a, seg, y)
+	seg = w.insertAfter(x, seg, y)
 	if seg == nil {
 		t.Fatal("second insertAfter failed")
 	}
@@ -91,10 +91,10 @@ func TestWindowInsertAfterOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// prevLive / nextLive navigate across the insertion.
-	if w.nextLive(a, false) != x || w.nextLive(y, false) != b {
+	if w.nextLive(a) != x || w.nextLive(y) != b {
 		t.Error("nextLive navigation wrong")
 	}
-	if w.prevLive(b, false) != y || w.prevLive(x, false) != a {
+	if w.prevLive(b) != y || w.prevLive(x) != a {
 		t.Error("prevLive navigation wrong")
 	}
 }
@@ -166,8 +166,8 @@ func TestWindowForEachAfter(t *testing.T) {
 }
 
 // Property: under random append/insert/squash/retire operations, the window
-// keeps position order, accurate counts, and capacity bounds, with a plain
-// slice as the reference model.
+// keeps order, accurate counts, and capacity bounds, with a plain slice as
+// the reference model.
 func TestWindowRandomOpsModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	cfgSegs := []int{1, 2, 4}
@@ -189,34 +189,28 @@ func TestWindowRandomOpsModel(t *testing.T) {
 			case 2: // insert after a random live dyn. Production only
 				// inserts after an instruction whose same-segment
 				// successors are squashed (the restart squashes them
-				// first), so respect that precondition.
+				// first), so respect that precondition: the first live
+				// entry after the anchor lies in another segment.
 				if len(model) == 0 {
 					continue
 				}
 				anchor := model[rng.Intn(len(model))]
-				clean := true
-				for i := anchor.slot + 1; i < anchor.seg.used; i++ {
-					if !anchor.seg.slots[i].squashed && !anchor.seg.slots[i].retired {
-						clean = false
-						break
-					}
-				}
-				if !clean {
+				if next := w.nextLive(anchor); next != nil && next.seg == anchor.seg {
 					continue
 				}
-				seq++
-				d := mkDyn(seq)
-				seg := w.insertAfter(anchor, fills[anchor], d)
-				if seg == nil {
-					continue
-				}
-				fills[anchor] = seg
 				// The fill chain appends: d goes right after the last
 				// dyn inserted for this anchor (or the anchor itself).
 				after := anchor
 				if li := lastIns[anchor]; li != nil {
 					after = li
 				}
+				seq++
+				d := mkDyn(seq)
+				seg := w.insertAfter(after, fills[anchor], d)
+				if seg == nil {
+					continue
+				}
+				fills[anchor] = seg
 				lastIns[anchor] = d
 				j := -1
 				for i, m := range model {
@@ -255,6 +249,7 @@ func TestWindowRandomOpsModel(t *testing.T) {
 				w.retire(h)
 				model = model[1:]
 			}
+			w.compact() // once per op, as the machine does once per cycle
 			if err := w.check(); err != nil {
 				t.Log(err)
 				return false
@@ -286,13 +281,13 @@ func TestWindowRandomOpsModel(t *testing.T) {
 	}
 }
 
-func TestWindowRenumber(t *testing.T) {
+func TestWindowSpliceReindex(t *testing.T) {
 	w := newWindow(64, 1, getRunMem())
 	a := mkDyn(1)
 	w.appendTail(a)
 	w.appendTail(mkDyn(2))
-	// Force many insertions after the same anchor to exhaust position
-	// gaps and trigger renumbering.
+	// Chain many insertions after the same anchor: each splice shifts the
+	// entries after it, and check verifies every shifted index.
 	var seg *segment
 	last := a
 	for i := 0; i < 40; i++ {
